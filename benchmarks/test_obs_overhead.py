@@ -15,19 +15,12 @@ import json
 import time
 from dataclasses import replace
 
-import pytest
-
 import repro.obs as obs
 from repro.backends import quiet_options
 from repro.core.batch import BatchRunner
 from repro.obs.state import STATE
 from repro.store import ResultStore
 from repro.system.stochastic import named_family
-from repro.system.vectorized import numpy_available
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized backend needs NumPy"
-)
 
 #: Acceptance batch size (matches the throughput bench).
 N_SCENARIOS = 256

@@ -4,8 +4,8 @@ A single-file store has exactly one write lock, so its aggregate intake
 is one writer's throughput no matter how many writers queue on it.  A
 sharded store carries one lock *per shard file*, so its aggregate
 capacity -- the rate N truly concurrent writers (separate processes or
-machines, as in ``Campaign.run_partitioned``) can sustain together --
-is the **sum** of the per-shard rates.
+machines, as in a partitioned campaign) can sustain together -- is the
+**sum** of the per-shard rates.
 
 This bench measures both sides on the same batch of rows and writes
 ``BENCH_shard.json``:

@@ -34,17 +34,11 @@ import statistics
 import time
 from dataclasses import replace
 
-import pytest
-
 from repro.backends import get_backend, quiet_options
 from repro.core.batch import BatchRunner
 from repro.store import ResultStore
 from repro.system.stochastic import named_family
-from repro.system.vectorized import numpy_available, simulate_batch
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized backend needs NumPy"
-)
+from repro.system.vectorized import simulate_batch
 
 #: Acceptance batch size (the issue's 1k-scenario family).
 N_SCENARIOS = 1024

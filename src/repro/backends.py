@@ -38,6 +38,7 @@ from typing import (
 )
 
 from repro.errors import ConfigError, SimulationError
+from repro.registry import Registry
 from repro.scenario import Scenario
 from repro.system.result import SystemResult
 
@@ -99,10 +100,7 @@ class VectorizedBackend:
 
     Semantically the envelope backend; operationally it advances whole
     scenario batches as ``(n_scenarios,)`` arrays per integration step
-    (:mod:`repro.system.vectorized`).  Requires NumPy: without it every
-    use raises a :class:`~repro.errors.ConfigError` naming the
-    ``[vectorized]`` extra, while registration itself always succeeds so
-    the name shows up in error listings.
+    (:mod:`repro.system.vectorized`).
     """
 
     name = "vectorized"
@@ -129,7 +127,7 @@ def _construct(cls, scenario: Scenario, *args, **kwargs):
 
 # -- registry -----------------------------------------------------------------
 
-_REGISTRY: Dict[str, Callable[[], Backend]] = {}
+_REGISTRY: Registry[Callable[[], Backend]] = Registry("backend")
 
 
 def register_backend(
@@ -147,28 +145,17 @@ def register_backend(
     happen at import time of a module the workers also import, or the
     batch should use ``executor="thread"``.
     """
-    if not name:
-        raise ConfigError("backend name must be non-empty")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigError(
-            f"backend {name!r} is already registered (pass overwrite=True)"
-        )
-    _REGISTRY[name] = factory
+    _REGISTRY.register(name, factory, overwrite)
 
 
 def backend_names() -> List[str]:
     """Registered backend names."""
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def get_backend(name: str) -> Backend:
     """Instantiate the backend registered under ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(backend_names())
-        raise ConfigError(f"unknown backend {name!r} (known: {known})") from None
-    return factory()
+    return _REGISTRY.lookup(name)()
 
 
 register_backend("envelope", EnvelopeBackend)
@@ -184,31 +171,6 @@ def run(scenario: Scenario) -> SystemResult:
 def supports_batch(backend: Backend) -> bool:
     """Whether ``backend`` implements the batch capability."""
     return callable(getattr(backend, "run_batch", None))
-
-
-def shard_contiguous(items: Sequence, parts: int) -> List[List]:
-    """Split ``items`` into at most ``parts`` contiguous, non-empty runs.
-
-    The shard boundaries are deterministic in ``(len(items), parts)``
-    alone (sizes differ by at most one, longer shards first), so a
-    batch splits identically on every worker count -- the property the
-    ``jobs x run_batch`` composition relies on for order-stable
-    reassembly.
-    """
-    if parts < 1:
-        raise ConfigError("shard count must be >= 1")
-    n = len(items)
-    parts = min(parts, n)
-    if parts <= 1:
-        return [list(items)] if n else []
-    base, extra = divmod(n, parts)
-    shards: List[List] = []
-    start = 0
-    for k in range(parts):
-        size = base + (1 if k < extra else 0)
-        shards.append(list(items[start : start + size]))
-        start += size
-    return shards
 
 
 def dispatch_batchable(

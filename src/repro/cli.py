@@ -460,9 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="split the campaign into N disjoint partitions; alone, fan "
-        "out over N local processes (scratch stores, merged back); with "
-        "--partition I, run only slice I against --store",
+        help="split the campaign into N disjoint partitions; needs "
+        "--partition I to pick the slice this process runs",
     )
     camp_run.add_argument(
         "--partition",
@@ -473,13 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sub-campaign NAME@pIofN -- the distributed mode, where each "
         "process writes its own store and 'store merge' reconstitutes "
         "the canonical one",
-    )
-    camp_run.add_argument(
-        "--workdir",
-        type=str,
-        default=None,
-        help="scratch directory for partition stores (fan-out mode; "
-        "default: next to --store)",
     )
 
     camp_res = camp_sub.add_parser(
@@ -1206,6 +1198,24 @@ def _cmd_store(args) -> int:
 def _cmd_campaign(args) -> int:
     from repro.store import Campaign, campaign_statuses
 
+    # Flag errors come first, so a refused command writes nothing.
+    if args.campaign_command == "run":
+        error = None
+        if args.partition is not None and args.partitions is None:
+            error = "--partition needs --partitions (the total N)"
+        elif args.partitions is not None and args.partition is None:
+            error = (
+                "--partitions needs --partition I (the slice this process "
+                "runs); use --jobs N for a local run, or 'coord run' to "
+                "spread the partitions over several hosts"
+            )
+        elif args.partitions is not None and not (
+            1 <= args.partition <= args.partitions
+        ):
+            error = f"--partition must be 1..{args.partitions}, got {args.partition}"
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     store = _open_store(args.store)
     if args.campaign_command == "run":
         import json
@@ -1223,25 +1233,12 @@ def _cmd_campaign(args) -> int:
             f"{payload.get('family', 'manifest')}"
             f"-n{payload.get('n', len(scenarios))}-s{payload.get('seed', 0)}"
         )
-        if args.partition is not None and args.partitions is None:
-            print(
-                "error: --partition needs --partitions (the total N)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.partitions is not None and args.partition is not None:
+        if args.partitions is not None:
             # Distributed mode: this process owns one slice, written to
             # its own --store; 'store merge' reconstitutes the whole.
             from repro.store import CampaignPartition, partition_scenarios
 
             groups = partition_scenarios(scenarios, args.partitions)
-            if not 1 <= args.partition <= args.partitions:
-                print(
-                    f"error: --partition must be 1..{args.partitions}, "
-                    f"got {args.partition}",
-                    file=sys.stderr,
-                )
-                return 2
             part = CampaignPartition(
                 campaign=name,
                 index=args.partition,
@@ -1269,15 +1266,7 @@ def _cmd_campaign(args) -> int:
         )
         before = campaign.status()
         print(before.summary())
-        if args.partitions is not None:
-            results = campaign.run_partitioned(
-                args.partitions,
-                jobs=max(args.jobs, 1),
-                chunk_size=args.chunk,
-                workdir=args.workdir,
-            )
-        else:
-            results = campaign.run(jobs=max(args.jobs, 1), chunk_size=args.chunk)
+        results = campaign.run(jobs=max(args.jobs, 1), chunk_size=args.chunk)
         print(campaign.status().summary())
         print(f"total transmissions: {sum(r.transmissions for r in results)}")
         return 0

@@ -39,15 +39,11 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends import (
-    dispatch_batchable,
-    get_backend,
-    run,
-    shard_contiguous,
-)
+from repro.backends import dispatch_batchable, get_backend, run
 from repro.errors import ConfigError
 from repro.obs.metrics import metrics
 from repro.obs.state import STATE as _OBS
@@ -78,23 +74,29 @@ _TIER_SECONDS = metrics().histogram(
 )
 
 
-def _run_scenario(scenario: Scenario) -> SystemResult:
-    """Module-level worker so process pools can pickle it."""
-    return run(scenario)
+def partition_slices(total: int, parts: int) -> List[Tuple[int, int]]:
+    """Deterministic ``[start, stop)`` slices: N contiguous, sizes +/-1.
 
-
-def _run_scenario_metered(scenario: Scenario):
-    """Process-pool worker that ships its metrics delta home.
-
-    The worker's registry is reset before the run and snapshotted after,
-    so each returned snapshot holds exactly this scenario's telemetry;
-    the coordinating runner merges them, which is how counters collected
-    inside process workers survive the pool.
+    The boundaries depend on ``(total, parts)`` alone, longer slices
+    first, so a list splits identically wherever it is split: campaign
+    partitions and the ``jobs x run_batch`` sub-batches of
+    :class:`BatchRunner` both reassemble in submission order.
     """
-    registry = metrics()
-    registry.reset()
-    result = run(scenario)
-    return result, registry.snapshot()
+    if parts < 1:
+        raise ConfigError(f"partition count must be >= 1, got {parts}")
+    if parts > total:
+        raise ConfigError(
+            f"cannot split {total} scenario(s) into {parts} partitions "
+            f"(every partition needs at least one)"
+        )
+    base, extra = divmod(total, parts)
+    slices: List[Tuple[int, int]] = []
+    start = 0
+    for i in range(parts):
+        stop = start + base + (1 if i < extra else 0)
+        slices.append((start, stop))
+        start = stop
+    return slices
 
 
 def _run_subbatch(payload) -> List[SystemResult]:
@@ -108,13 +110,18 @@ def _run_subbatch(payload) -> List[SystemResult]:
     return get_backend(name).run_batch(scenarios)
 
 
-def _run_subbatch_metered(payload):
-    """Sub-batch worker that ships its metrics delta home (see
-    :func:`_run_scenario_metered`)."""
+def _metered(worker: Callable, item):
+    """Process-pool wrapper that ships ``worker(item)``'s metrics home.
+
+    The worker's registry is reset before the call and snapshotted
+    after, so each returned snapshot holds exactly this item's
+    telemetry; the coordinating runner merges them, which is how
+    counters collected inside process workers survive the pool.
+    """
     registry = metrics()
     registry.reset()
-    results = _run_subbatch(payload)
-    return results, registry.snapshot()
+    result = worker(item)
+    return result, registry.snapshot()
 
 
 class BatchRunner:
@@ -301,23 +308,7 @@ class BatchRunner:
         executor = self._run_group_sharded if self.jobs > 1 else None
         results, serial = dispatch_batchable(scenarios, batch_executor=executor)
         if serial:
-            subset = [scenarios[i] for i in serial]
-            if self.jobs == 1 or len(subset) == 1:
-                fresh = [_run_scenario(s) for s in subset]
-            elif self.executor == "process" and _OBS.metrics_on:
-                # Each worker item ships its metrics delta home as a
-                # picklable snapshot; merging here is what keeps the
-                # registry whole across the process pool.
-                with self._make_executor(min(self.jobs, len(subset))) as pool:
-                    pairs = list(pool.map(_run_scenario_metered, subset))
-                registry = metrics()
-                fresh = []
-                for result, snapshot in pairs:
-                    fresh.append(result)
-                    registry.merge(snapshot)
-            else:
-                with self._make_executor(min(self.jobs, len(subset))) as pool:
-                    fresh = list(pool.map(_run_scenario, subset))
+            fresh = self._pool_map(run, [scenarios[i] for i in serial])
             for i, result in zip(serial, fresh):
                 results[i] = result
         return results  # type: ignore[return-value]
@@ -328,34 +319,44 @@ class BatchRunner:
         """Fan one batch-capable backend group out over the worker pool.
 
         The group splits into ``min(jobs, len(batch))`` contiguous
-        sub-batches (:func:`repro.backends.shard_contiguous`); each
-        worker advances its sub-batch through a single ``run_batch``
-        call, and the sub-results concatenate back in submission order.
+        sub-batches (:func:`partition_slices`); each worker advances its
+        sub-batch through a single ``run_batch`` call, and the
+        sub-results concatenate back in submission order.
         """
-        if len(batch) == 1:
-            return get_backend(name).run_batch(batch)
-        shards = shard_contiguous(batch, self.jobs)
-        payloads = [(name, shard) for shard in shards]
-        if self.executor == "process" and _OBS.metrics_on:
-            with self._make_executor(len(shards)) as pool:
-                pairs = list(pool.map(_run_subbatch_metered, payloads))
-            registry = metrics()
-            parts = []
-            for results, snapshot in pairs:
-                parts.append(results)
-                registry.merge(snapshot)
-        else:
-            with self._make_executor(len(shards)) as pool:
-                parts = list(pool.map(_run_subbatch, payloads))
+        payloads = [
+            (name, batch[start:stop])
+            for start, stop in partition_slices(
+                len(batch), min(self.jobs, len(batch))
+            )
+        ]
         out: List[SystemResult] = []
-        for part in parts:
+        for part in self._pool_map(_run_subbatch, payloads):
             out.extend(part)
         return out
 
-    def _make_executor(self, workers: int) -> Executor:
+    def _pool_map(self, worker: Callable, items: list) -> list:
+        """``[worker(item) for item in items]`` over the pool, in order.
+
+        With one worker to use (``jobs=1`` or a single item) it runs
+        in-process, with no executor and no pickling.  With process
+        workers and metrics on, each item ships its metrics delta home
+        as a picklable snapshot (:func:`_metered`); merging here is
+        what keeps the registry whole across the process pool.
+        """
+        workers = min(self.jobs, len(items))
+        if workers <= 1:
+            return [worker(item) for item in items]
         if self.executor == "thread":
-            return ThreadPoolExecutor(max_workers=workers)
-        return ProcessPoolExecutor(max_workers=workers)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(worker, items))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            if not _OBS.metrics_on:
+                return list(pool.map(worker, items))
+            pairs = list(pool.map(partial(_metered, worker), items))
+        registry = metrics()
+        for _, snapshot in pairs:
+            registry.merge(snapshot)
+        return [result for result, _ in pairs]
 
     # -- cache -------------------------------------------------------------------
 

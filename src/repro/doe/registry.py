@@ -33,7 +33,7 @@ available.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.doe.bbd import box_behnken
 from repro.doe.ccd import central_composite
@@ -41,13 +41,13 @@ from repro.doe.design import Design
 from repro.doe.doptimal import d_optimal
 from repro.doe.factorial import full_factorial
 from repro.doe.lhs import latin_hypercube
-from repro.errors import ConfigError
+from repro.registry import Registry
 from repro.rsm.coding import ParameterSpace
 
 #: The uniform design-generator signature.
 DesignGenerator = Callable[..., Design]
 
-_REGISTRY: Dict[str, DesignGenerator] = {}
+_REGISTRY: Registry[DesignGenerator] = Registry("design")
 
 
 def register_design(
@@ -62,27 +62,17 @@ def register_design(
     existing name requires ``overwrite=True`` so typos cannot silently
     shadow a shipped generator.
     """
-    if not name:
-        raise ConfigError("design name must be non-empty")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigError(
-            f"design {name!r} is already registered (pass overwrite=True)"
-        )
-    _REGISTRY[name] = generator
+    _REGISTRY.register(name, generator, overwrite)
 
 
 def design_names() -> List[str]:
     """Registered design-generator names."""
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def get_design(name: str) -> DesignGenerator:
     """The generator registered under ``name``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(design_names())
-        raise ConfigError(f"unknown design {name!r} (known: {known})") from None
+    return _REGISTRY.lookup(name)
 
 
 def build_design(

@@ -36,11 +36,10 @@ what is available.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.optimize.annealing import simulated_annealing
 from repro.optimize.baselines import grid_search, random_search
 from repro.optimize.genetic import genetic_algorithm
@@ -50,11 +49,12 @@ from repro.optimize.pareto import nsga2
 from repro.optimize.pattern import pattern_search
 from repro.optimize.problem import Problem
 from repro.optimize.result import OptimizationResult
+from repro.registry import Registry
 
 #: The uniform optimiser signature.
 Optimizer = Callable[..., OptimizationResult]
 
-_REGISTRY: Dict[str, Optimizer] = {}
+_REGISTRY: Registry[Optimizer] = Registry("optimizer")
 
 
 def register_optimizer(
@@ -70,27 +70,17 @@ def register_optimizer(
     ``overwrite=True`` so typos cannot silently shadow a shipped
     method.
     """
-    if not name:
-        raise ConfigError("optimizer name must be non-empty")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigError(
-            f"optimizer {name!r} is already registered (pass overwrite=True)"
-        )
-    _REGISTRY[name] = optimizer
+    _REGISTRY.register(name, optimizer, overwrite)
 
 
 def optimizer_names() -> List[str]:
     """Registered optimiser names."""
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def get_optimizer(name: str) -> Optimizer:
     """The optimiser registered under ``name``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(optimizer_names())
-        raise ConfigError(f"unknown optimizer {name!r} (known: {known})") from None
+    return _REGISTRY.lookup(name)
 
 
 # -- shipped optimisers --------------------------------------------------------

@@ -30,16 +30,16 @@ what is available.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, List
 
-from repro.errors import ConfigError
+from repro.registry import Registry
 from repro.rsm.basis import KINDS
 from repro.rsm.model import ResponseSurface, fit_response_surface
 
 #: The uniform surrogate-fitter signature.
 SurrogateFitter = Callable[..., ResponseSurface]
 
-_REGISTRY: Dict[str, SurrogateFitter] = {}
+_REGISTRY: Registry[SurrogateFitter] = Registry("surrogate")
 
 
 def register_surrogate(
@@ -54,27 +54,17 @@ def register_surrogate(
     requires ``overwrite=True`` so typos cannot silently shadow a
     shipped fitter.
     """
-    if not name:
-        raise ConfigError("surrogate name must be non-empty")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigError(
-            f"surrogate {name!r} is already registered (pass overwrite=True)"
-        )
-    _REGISTRY[name] = fitter
+    _REGISTRY.register(name, fitter, overwrite)
 
 
 def surrogate_names() -> List[str]:
     """Registered surrogate names."""
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def get_surrogate(name: str) -> SurrogateFitter:
     """The fitter registered under ``name``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(surrogate_names())
-        raise ConfigError(f"unknown surrogate {name!r} (known: {known})") from None
+    return _REGISTRY.lookup(name)
 
 
 def _polynomial(kind: str) -> SurrogateFitter:

@@ -30,12 +30,14 @@ Scaling out: a :class:`ShardedResultStore` spreads the result rows over
 N per-shard SQLite files behind the same API (N independent writers
 instead of one), :func:`merge_stores`/:func:`sync_stores` fold stores
 into each other with byte-identity checks, and
-:meth:`Campaign.run_partitioned` fans a campaign out over processes
-with local scratch stores and merges at the end::
+:meth:`Campaign.partition` splits a campaign into disjoint slices that
+separate hosts run into their own stores (:mod:`repro.coord` drives
+that across ``serve`` workers).  On one machine, ``run(jobs=N)`` shards
+each chunk over N workers into one store::
 
     store = ShardedResultStore("results.d", shards=4)
     camp = Campaign.create(store, "floor-study", family.expand(n=40, seed=0))
-    camp.run_partitioned(parts=4)    # 4 processes, 4 local stores, merged
+    camp.run(jobs=4)          # 4 workers, one sharded store
 """
 
 from repro.store.db import (

@@ -31,9 +31,9 @@ back into the canonical store afterwards.  Seeds are resolved over the
 *full* list before slicing, so a partitioned run journals exactly the
 content keys a single-store run would, and the final
 ``Campaign.run()`` against the merged store re-simulates **nothing**.
-:meth:`Campaign.run_partitioned` drives the whole cycle (fan out over
-processes -> merge -> assemble) in one call; every stage is kill-safe
-because completion stays derived from the results tables.
+:mod:`repro.coord` drives that cycle across hosts; on one machine,
+``run(jobs=N)`` already fans each chunk out over N workers into the one
+store.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.batch import BatchRunner
+from repro.core.batch import BatchRunner, partition_slices
 from repro.errors import ConfigError
 from repro.obs.trace import span
 from repro.rng import derive_seed
@@ -378,75 +377,6 @@ class Campaign:
             for i, group in enumerate(groups)
         ]
 
-    def run_partitioned(
-        self,
-        parts: int,
-        jobs: int = 1,
-        chunk_size: Optional[int] = None,
-        workdir: Optional[Union[str, Path]] = None,
-    ) -> List[SystemResult]:
-        """Fan the campaign out over ``parts`` processes, merge, assemble.
-
-        Each partition runs in its own process against its own local
-        scratch store (``<workdir>/p<i>of<N>.db``; ``workdir`` defaults
-        to ``<campaign>.parts`` next to the canonical store), so the N
-        writers never contend on one SQLite file.  When every partition
-        finishes, the scratch rows merge into the canonical store
-        (byte-identity checked, scratch journals left behind) and the
-        ordinary :meth:`run` assembles the result list with zero
-        re-simulation.
-
-        Kill-safe at every stage: partitions resume from their scratch
-        stores, the merge is idempotent, and re-running the whole call
-        only redoes what never reached a durable store.  ``jobs`` is
-        the *inner* fan-out per partition (default 1: the partition
-        processes are the parallelism).
-        """
-        import concurrent.futures
-
-        partitions = self.partition(parts)
-        if workdir is None:
-            safe = self.name.replace("/", "_")
-            workdir = self.store.path.parent / f"{safe}.parts"
-        workdir = Path(workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
-        paths = [
-            workdir / f"p{p.index}of{p.of}.db" for p in partitions
-        ]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=len(partitions)
-        ) as pool:
-            futures = [
-                pool.submit(_run_partition, str(path), part, jobs, chunk_size)
-                for path, part in zip(paths, partitions)
-            ]
-            for future in futures:
-                future.result()  # re-raise the first partition failure
-        from repro.store.merge import merge_stores
-
-        for path in paths:
-            merge_stores(self.store, ResultStore(path), journals=False)
-        return self.run(jobs=1)
-
-
-def partition_slices(total: int, parts: int) -> List[Tuple[int, int]]:
-    """Deterministic ``[start, stop)`` slices: N contiguous, sizes +/-1."""
-    if parts < 1:
-        raise ConfigError(f"partition count must be >= 1, got {parts}")
-    if parts > total:
-        raise ConfigError(
-            f"cannot split {total} scenario(s) into {parts} partitions "
-            f"(every partition needs at least one)"
-        )
-    base, extra = divmod(total, parts)
-    slices: List[Tuple[int, int]] = []
-    start = 0
-    for i in range(parts):
-        stop = start + base + (1 if i < extra else 0)
-        slices.append((start, stop))
-        start = stop
-    return slices
-
 
 def partition_scenarios(
     scenarios: Sequence[Scenario], parts: int, seed: int = 0
@@ -497,8 +427,7 @@ def split_partition_name(name: str) -> Optional[Tuple[str, int, int]]:
 class CampaignPartition:
     """One disjoint slice of a campaign, runnable against any store.
 
-    Picklable (it travels into partition worker processes); running it
-    journals an ordinary sub-campaign named
+    Running it journals an ordinary sub-campaign named
     ``<campaign>@p<index>of<of>`` in the target store, so partitions
     inherit the full kill/resume machinery for free.
     """
@@ -536,22 +465,6 @@ class CampaignPartition:
         )
 
 
-def _run_partition(
-    path: str,
-    partition: CampaignPartition,
-    jobs: int,
-    chunk_size: Optional[int],
-) -> int:
-    """Partition worker body (module-level so it pickles into processes)."""
-    results = partition.run(
-        ResultStore(path),
-        jobs=jobs,
-        chunk_size=chunk_size,
-        executor="thread",
-    )
-    return len(results)
-
-
 def campaign_names(store: ResultStore) -> List[str]:
     """Names of every campaign journaled in ``store``, sorted."""
     return [
@@ -572,8 +485,8 @@ class CampaignGroup:
     """One campaign with its partition sub-campaigns folded underneath.
 
     ``status`` is the parent campaign's own snapshot when the store
-    journals it (a coordinator or ``run_partitioned`` store does; a
-    worker's scratch store holding only partitions does not).
+    journals it (a coordinator's store does; a worker's scratch store
+    holding only partitions does not).
     ``partitions`` are the ``NAME@pIofN`` sub-campaigns in index order
     and ``of`` is their declared partition count.
     """

@@ -41,12 +41,6 @@ as the scalar harvester, with the position-dependent resonator constants
 cached per (tuning map, position) -- whenever a lane enters a new
 vibration segment or moves its actuator.  They are constant in between,
 which is what makes the hot loop pure array math.
-
-NumPy is an optional dependency of this backend: :func:`require_numpy`
-raises a :class:`~repro.errors.ConfigError` naming the ``[vectorized]``
-extra when the import is unavailable (or when the
-``REPRO_DISABLE_NUMPY`` environment variable simulates its absence, the
-hook the no-NumPy CI leg uses).
 """
 
 from __future__ import annotations
@@ -54,14 +48,10 @@ from __future__ import annotations
 import bisect
 import gc
 import math
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via REPRO_DISABLE_NUMPY in tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.control.commands import (
     CheckEnergy,
@@ -74,7 +64,7 @@ from repro.control.commands import (
 )
 from repro.control.runner import _result_of
 from repro.control.session import tuning_session
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.obs.trace import span
@@ -94,10 +84,6 @@ from repro.system.envelope import (
 )
 from repro.system.result import SystemResult, TuningEvent
 
-#: Environment variable that simulates a missing NumPy installation
-#: (set by the no-NumPy CI leg; see :func:`require_numpy`).
-DISABLE_ENV_VAR = "REPRO_DISABLE_NUMPY"
-
 #: Simulation-run telemetry shared with the scalar backend: one count
 #: per completed scenario, labelled by the backend that produced it.
 _SIM_RUNS = _obs_metrics().counter(
@@ -111,29 +97,6 @@ _SIM_RUNS = _obs_metrics().counter(
 #: the engine mirrors that by resetting whenever an event (wake-up or
 #: finalisation) is processed, so legitimately long runs never trip it.
 _MAX_ITERATIONS = 50_000_000
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized backend can run in this process."""
-    return np is not None and not os.environ.get(DISABLE_ENV_VAR)
-
-
-def require_numpy():
-    """Return the ``numpy`` module or raise a helpful ConfigError."""
-    if os.environ.get(DISABLE_ENV_VAR):
-        raise ConfigError(
-            "the 'vectorized' backend needs NumPy, which is disabled in "
-            f"this environment ({DISABLE_ENV_VAR} is set); install the "
-            "'vectorized' extra (pip install repro-wsn[vectorized]) or "
-            "pick another backend (e.g. 'envelope')"
-        )
-    if np is None:  # pragma: no cover - numpy is present in the test env
-        raise ConfigError(
-            "the 'vectorized' backend needs NumPy; install the "
-            "'vectorized' extra (pip install repro-wsn[vectorized]) or "
-            "pick another backend (e.g. 'envelope')"
-        )
-    return np
 
 
 # -- shared physics ----------------------------------------------------------
@@ -184,7 +147,6 @@ class VectorizedEnvelopeEngine:
     """
 
     def __init__(self, sims: Sequence[EnvelopeSimulator], horizons: Sequence[float]):
-        require_numpy()
         if len(sims) != len(horizons):
             raise SimulationError("one horizon per simulator required")
         if not sims:
@@ -1049,7 +1011,6 @@ def simulate_batch(scenarios: Sequence[Scenario]) -> List[SystemResult]:
     payloads a scalar run of each scenario would produce, so store rows,
     golden fixtures and resume bookkeeping are backend-agnostic.
     """
-    require_numpy()
     if not scenarios:
         return []
     from repro.backends import _construct

@@ -133,20 +133,11 @@ def test_monte_carlo_parallel_matches_serial():
 # -- batch-capable backend dispatch and the backend override ------------------
 
 
-needs_numpy = pytest.mark.skipif(
-    not __import__(
-        "repro.system.vectorized", fromlist=["numpy_available"]
-    ).numpy_available(),
-    reason="vectorized backend needs NumPy",
-)
-
-
 def test_backend_override_validates_eagerly():
     with pytest.raises(ConfigError, match="unknown backend 'bogus'"):
         BatchRunner(backend="bogus")
 
 
-@needs_numpy
 def test_backend_override_rewrites_scenarios_and_keys():
     """The override is applied before seeding/caching, so the cache keys
     (and hence store rows) name the backend that actually ran."""
@@ -157,7 +148,6 @@ def test_backend_override_rewrites_scenarios_and_keys():
     assert [s.cache_key() for s in resolved] != [s.cache_key() for s in plain]
 
 
-@needs_numpy
 def test_vectorized_runner_matches_envelope_runner():
     envelope = BatchRunner(jobs=1, seed=9).run(_scenarios())
     vectorized = BatchRunner(jobs=1, seed=9, backend="vectorized").run(
@@ -171,7 +161,6 @@ def test_vectorized_runner_matches_envelope_runner():
     ]
 
 
-@needs_numpy
 def test_vectorized_batch_composes_with_jobs(monkeypatch):
     """With a batch-capable backend the runner hands the pending work
     over in one ``run_batch`` call at ``jobs=1``, and in one call *per
@@ -205,7 +194,6 @@ def test_vectorized_batch_composes_with_jobs(monkeypatch):
     ]
 
 
-@needs_numpy
 def test_vectorized_runner_cache_and_store_tiers(tmp_path):
     """Memory LRU -> store -> simulate tiers and the store_hits counter
     keep their semantics under batch dispatch."""
@@ -229,7 +217,6 @@ def test_vectorized_runner_cache_and_store_tiers(tmp_path):
     ] == [r.transmissions for r in warmed]
 
 
-@needs_numpy
 def test_mixed_backend_batch_dispatch():
     """A batch mixing plain and batch-capable backends comes back in
     submission order with per-backend execution."""

@@ -2,12 +2,14 @@
 optimizer is seed-deterministic -- same inputs + seed, identical design
 matrix / fit / optimum -- which is the property store-backed study
 resumption stands on.  Also covers the shared registry contract
-(unknown-name errors list alternatives, no silent overwrites).
+(unknown-name errors list alternatives, no silent overwrites, no empty
+names).
 """
 
 import numpy as np
 import pytest
 
+from repro.backends import register_backend
 from repro.doe.registry import design_names, get_design, register_design
 from repro.errors import ConfigError
 from repro.optimize.problem import Problem
@@ -93,6 +95,20 @@ def test_unknown_name_lists_alternatives(getter, known):
 def test_no_silent_overwrite(register, taken):
     with pytest.raises(ConfigError, match="already registered"):
         register(taken, lambda *a, **k: None)
+
+
+@pytest.mark.parametrize(
+    ("register", "kind"),
+    [
+        (register_backend, "backend"),
+        (register_design, "design"),
+        (register_surrogate, "surrogate"),
+        (register_optimizer, "optimizer"),
+    ],
+)
+def test_empty_name_rejected(register, kind):
+    with pytest.raises(ConfigError, match=f"^{kind} name must be non-empty$"):
+        register("", lambda *a, **k: None)
 
 
 def test_custom_registration_and_overwrite():

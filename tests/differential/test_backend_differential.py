@@ -31,11 +31,6 @@ from repro.backends import quiet_options, run, run_batch
 from repro.scenario import Scenario, named_scenario, scenario_names
 from repro.system.result import SystemResult
 from repro.system.stochastic import family_names, named_family
-from repro.system.vectorized import numpy_available
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized backend needs NumPy"
-)
 
 #: Replicates per stochastic-family grid point and the expansion seed.
 FAMILY_N = 2

@@ -14,11 +14,6 @@ import pytest
 from repro.core.study import Study, paper_study_spec
 from repro.store import Campaign, ResultStore
 from repro.system.stochastic import named_family
-from repro.system.vectorized import numpy_available
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized backend needs NumPy"
-)
 
 
 @pytest.fixture

@@ -24,12 +24,8 @@ from repro.scenario import PartsSpec, Scenario
 from repro.system.config import SystemConfig
 from repro.system.stochastic import EnvironmentState, RegimeSwitchingVibration
 from repro.system.vibration import VibrationProfile
-from repro.system.vectorized import numpy_available, simulate_batch
+from repro.system.vectorized import simulate_batch
 from repro.units import mg_to_mps2
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized backend needs NumPy"
-)
 
 #: Absolute energy-audit tolerance (J); observed residuals are ~1e-14.
 IMBALANCE_TOL = 1e-9

@@ -73,7 +73,6 @@ def test_submit_poll_fetch_matches_direct_run_bytes(
     """The acceptance property: results fetched over HTTP are
     byte-identical to a direct ``Campaign.run()`` on the same inputs --
     for the scalar and the vectorized backend alike."""
-    pytest.importorskip("numpy") if backend == "vectorized" else None
     manifest = _manifest(n=2, seed=5, backend=backend)
     base = served.url
 

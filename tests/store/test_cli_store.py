@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.store import Campaign, ResultStore
+from repro.store import Campaign, ResultStore, campaign_names
 from repro.system.result import RESULT_SCHEMA, SystemResult
 
 
@@ -270,6 +270,12 @@ def test_cli_partition_flag_validation(tmp_path, capsys):
     assert main(["campaign", "run", manifest, "--store", db,
                  "--partitions", "2", "--partition", "7"]) == 2
     assert "1..2" in capsys.readouterr().err
+    # --partitions alone (the removed local fan-out) points at --jobs
+    # and journals nothing.
+    assert main(["campaign", "run", manifest, "--store", db,
+                 "--partitions", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert campaign_names(ResultStore(db)) == []
 
 
 def test_cli_store_sync(tmp_path, capsys):

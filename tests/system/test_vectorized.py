@@ -10,17 +10,8 @@ from repro.errors import ConfigError
 from repro.scenario import PartsSpec, Scenario, named_scenario
 from repro.system.components import paper_system
 from repro.system.config import SystemConfig
-from repro.system.vectorized import (
-    DISABLE_ENV_VAR,
-    _build_parts,
-    numpy_available,
-    simulate_batch,
-)
+from repro.system.vectorized import _build_parts, simulate_batch
 from repro.system.vibration import VibrationProfile
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized backend needs NumPy"
-)
 
 
 def _canonical(result) -> str:
@@ -136,39 +127,6 @@ class TestBackendContract:
             replace(scenario, backend="vectorized").cache_key()
             != scenario.cache_key()
         )
-
-
-class TestNumpyGuard:
-    def test_disable_env_var_raises_config_error(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-        assert not numpy_available()
-        with pytest.raises(ConfigError, match=r"vectorized.*NumPy"):
-            run(_short(horizon=30.0))
-
-    def test_error_names_the_extra_and_an_alternative(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-        with pytest.raises(ConfigError, match=r"repro-wsn\[vectorized\]"):
-            simulate_batch([_short(horizon=30.0)])
-        with pytest.raises(ConfigError, match="envelope"):
-            simulate_batch([_short(horizon=30.0)])
-
-    def test_envelope_backend_unaffected(self, monkeypatch):
-        """Tier-1 physics must keep working with NumPy 'absent' for the
-        vectorized backend: the guard gates only the batch engine."""
-        monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-        result = run(
-            replace(_short(horizon=30.0), backend="envelope")
-        )
-        assert result.horizon >= 30.0
-
-    def test_registry_still_lists_vectorized(self, monkeypatch):
-        """The name stays registered (and advertised in error listings)
-        even when the dependency is missing -- failing at *use* with a
-        good message beats silently vanishing from the registry."""
-        from repro.backends import backend_names
-
-        monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-        assert "vectorized" in backend_names()
 
 
 def test_runaway_guard_resets_per_event_stretch(monkeypatch):

@@ -153,7 +153,6 @@ def test_supports_batch_capability():
 
 def test_run_batch_groups_by_backend_and_preserves_order():
     from repro.backends import run_batch
-    from repro.system.vectorized import numpy_available
 
     envelope = Scenario(
         config=ORIGINAL_DESIGN,
@@ -162,20 +161,18 @@ def test_run_batch_groups_by_backend_and_preserves_order():
         seed=1,
         options={"record_traces": False},
     )
-    scenarios = [envelope]
-    if numpy_available():
-        scenarios = [
-            envelope,
-            Scenario(
-                config=ORIGINAL_DESIGN,
-                profile=VibrationProfile.constant(64.0),
-                horizon=60.0,
-                seed=1,
-                backend="vectorized",
-                options={"record_traces": False},
-            ),
-            envelope,
-        ]
+    scenarios = [
+        envelope,
+        Scenario(
+            config=ORIGINAL_DESIGN,
+            profile=VibrationProfile.constant(64.0),
+            horizon=60.0,
+            seed=1,
+            backend="vectorized",
+            options={"record_traces": False},
+        ),
+        envelope,
+    ]
     results = run_batch(scenarios)
     assert len(results) == len(scenarios)
     singles = [run(s) for s in scenarios]
@@ -204,25 +201,6 @@ def test_quiet_options_knows_vectorized():
     assert quiet_options("vectorized") == {"record_traces": False}
     assert quiet_options("envelope") == {"record_traces": False}
     assert quiet_options("detailed") == {}
-
-
-def test_vectorized_missing_numpy_regression(monkeypatch):
-    """The NumPy-missing path: registration survives, use fails with a
-    ConfigError that names the extra and a working alternative."""
-    from repro.system.vectorized import DISABLE_ENV_VAR, numpy_available
-
-    monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-    assert not numpy_available()
-    assert "vectorized" in backend_names()
-    scenario = Scenario(
-        config=ORIGINAL_DESIGN,
-        profile=VibrationProfile.constant(64.0),
-        horizon=30.0,
-        seed=1,
-        backend="vectorized",
-    )
-    with pytest.raises(ConfigError, match=r"repro-wsn\[vectorized\]"):
-        run(scenario)
 
 
 def test_run_batch_rejects_miscounting_backend():
