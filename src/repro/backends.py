@@ -100,7 +100,10 @@ class VectorizedBackend:
 
     Semantically the envelope backend; operationally it advances whole
     scenario batches as ``(n_scenarios,)`` arrays per integration step
-    (:mod:`repro.system.vectorized`).
+    (:mod:`repro.system.vectorized`).  Batches narrower than
+    :data:`~repro.system.vectorized.LOCKSTEP_MIN_LANES` run lane by lane
+    on the scalar integrator instead, where lockstep would be slower;
+    the result bytes are the same either way.
     """
 
     name = "vectorized"
@@ -109,8 +112,14 @@ class VectorizedBackend:
         return self.run_batch([scenario])[0]
 
     def run_batch(self, scenarios: Sequence[Scenario]) -> List[SystemResult]:
-        from repro.system.vectorized import simulate_batch
+        from repro.system.vectorized import (
+            LOCKSTEP_MIN_LANES,
+            simulate_batch,
+            simulate_scalar,
+        )
 
+        if len(scenarios) < LOCKSTEP_MIN_LANES:
+            return simulate_scalar(scenarios)
         return simulate_batch(scenarios)
 
 

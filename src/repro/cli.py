@@ -541,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll",
         type=float,
         default=0.5,
-        help="idle worker poll interval in seconds",
+        help="idle worker poll interval in seconds: bounds pickup of jobs "
+        "queued by other processes (a POST wakes an idle worker at once)",
     )
     srv.add_argument(
         "--heartbeat-timeout",

@@ -157,9 +157,11 @@ class BatchRunner:
         caching and store lookups, so cache keys and store provenance
         name the backend that actually produced each result
         (``BatchRunner(backend="vectorized")`` turns any scenario list
-        into one lockstep array integration).  Unknown names fail at
-        construction with a :class:`~repro.errors.ConfigError` listing
-        the registered alternatives.
+        into one ``run_batch`` call, which integrates in lockstep from
+        :data:`~repro.system.vectorized.LOCKSTEP_MIN_LANES` lanes up).
+        Unknown names fail at construction with a
+        :class:`~repro.errors.ConfigError` listing the registered
+        alternatives.
     """
 
     def __init__(

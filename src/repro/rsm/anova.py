@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import FitError
 from repro.rsm.regression import ols
@@ -61,6 +60,10 @@ def anova(X: np.ndarray, y: np.ndarray) -> AnovaTable:
     ms_model = ss_model / df_model
     ms_residual = ss_residual / df_residual if df_residual > 0 else 0.0
     if ms_residual > 0:
+        # Imported here: SciPy costs ~0.5 s and ~60 MB at import, and
+        # this is its only caller, which no pipeline path reaches.
+        from scipy import stats
+
         f_stat = ms_model / ms_residual
         p_value = float(stats.f.sf(f_stat, df_model, df_residual))
     else:

@@ -1,8 +1,8 @@
 """The simulation service's JSON API.
 
 :class:`ServiceApp` maps HTTP requests onto one
-:class:`~repro.service.jobs.JobQueue` (and, for liveness reporting, the
-:class:`~repro.service.worker.WorkerPool` draining it):
+:class:`~repro.service.jobs.JobQueue` (and, for wake-ups and liveness
+reporting, the :class:`~repro.service.worker.WorkerPool` draining it):
 
 ====== ============================ ==========================================
 Method Path                         Meaning
@@ -96,9 +96,12 @@ class ServiceApp:
     store:
         The shared result store (jobs, journals, results).
     pool:
-        Optional :class:`~repro.service.worker.WorkerPool`, used only
-        for liveness in ``/v1/healthz`` and ``/v1/metrics`` (the API
-        works fine with external ``--once`` cron workers instead).
+        Optional :class:`~repro.service.worker.WorkerPool` draining the
+        queue: every committed submission calls its
+        :meth:`~repro.service.worker.WorkerPool.notify`, so an idle
+        worker claims the job at once instead of at its next poll, and
+        ``/v1/healthz`` and ``/v1/metrics`` report its liveness (the
+        API works fine with external ``--once`` cron workers instead).
     tokens:
         Bearer tokens; empty means an open (unauthenticated) service.
     rate, burst:
@@ -270,6 +273,8 @@ class ServiceApp:
             priority=priority,
             owner=request.token() or request.client,
         )
+        if self.pool is not None:
+            self.pool.notify()
         doc = job.to_payload()
         doc["url"] = f"/v1/jobs/{job.id}"
         return Response(201, doc, headers={"Location": doc["url"]})

@@ -128,7 +128,12 @@ class WorkerPool:
         :class:`~repro.core.batch.BatchRunner` fan-out *inside* each
         job (``1`` = simulate in the worker thread).
     poll_interval:
-        Idle sleep between claim attempts, seconds.
+        Longest idle sleep between claim attempts, seconds.  A
+        :meth:`notify` (which :class:`~repro.service.app.ServiceApp`
+        sends for every submission) wakes an idle worker at once, so
+        this only bounds how late jobs queued by other processes are
+        picked up: :meth:`JobQueue.submit` from a script, a second
+        ``serve`` on the same store.
     heartbeat_timeout:
         Claims with heartbeats older than this are considered orphaned
         and requeued (each worker sweeps opportunistically); the pulse
@@ -168,6 +173,10 @@ class WorkerPool:
         self._threads: List[threading.Thread] = []
         self._pulse: Optional[threading.Thread] = None
         self._stop = threading.Event()
+        # Wake-ups: ``notify`` bumps the counter; a worker sleeps only
+        # if it is unchanged since before its last (empty) claim.
+        self._wake = threading.Condition()
+        self._wakes = 0
         self._requeue_on_stop = threading.Event()
         self._once = False
         self._lock = threading.Lock()
@@ -213,6 +222,8 @@ class WorkerPool:
         worker.
         """
         self._stop.set()
+        with self._wake:
+            self._wake.notify_all()
         if not drain:
             self._requeue_on_stop.set()
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -259,6 +270,18 @@ class WorkerPool:
             self._stop.clear()
         return (self.processed + self.failed) - before
 
+    def notify(self) -> None:
+        """Wake one idle worker: a job was just queued.
+
+        Call it after the job row has committed.  No wake-up is lost: a
+        worker whose claim found the queue empty skips its sleep if any
+        notify arrived since just before that claim, and a notify during
+        the sleep ends it.
+        """
+        with self._wake:
+            self._wakes += 1
+            self._wake.notify()
+
     # -- introspection -----------------------------------------------------------
 
     def worker_states(self) -> List[dict]:
@@ -283,11 +306,15 @@ class WorkerPool:
             with self._lock:
                 self._alive[worker_id] = time.time()
             self._maybe_sweep_orphans()
+            with self._wake:
+                wakes = self._wakes
             job = self.queue.claim(worker_id)
             if job is None:
                 if self._once:
                     return
-                self._stop.wait(self.poll_interval)
+                with self._wake:
+                    if self._wakes == wakes and not self._stop.is_set():
+                        self._wake.wait(self.poll_interval)
                 continue
             self._run_claim(worker_id, job)
 

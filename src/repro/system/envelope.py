@@ -62,7 +62,8 @@ _V_EPS = 1e-7
 _T_EPS = 1e-9
 
 #: Simulation-run telemetry (shared series with the vectorized backend,
-#: which registers the same counter under ``backend="vectorized"``).
+#: whose scenarios count under ``backend="vectorized"`` whichever
+#: integrator ran them).
 _SIM_RUNS = _obs_metrics().counter(
     "repro_sim_runs_total",
     "Completed simulation runs per backend",
@@ -123,6 +124,10 @@ class EnvelopeSimulator(ControllerBackend):
 
     def run(self, horizon: float = 3600.0) -> SystemResult:
         """Simulate until ``horizon`` seconds (sessions may finish late)."""
+        return self._run(horizon, backend="envelope")
+
+    def _run(self, horizon: float, backend: str) -> SystemResult:
+        """:meth:`run`, counted in ``repro_sim_runs_total`` under ``backend``."""
         if horizon <= 0.0:
             raise SimulationError("horizon must be positive")
         evals_before = self.micro.envelope.power_evals
@@ -139,7 +144,7 @@ class EnvelopeSimulator(ControllerBackend):
                 transmissions=self.log.count,
             )
         if _OBS.metrics_on:
-            _SIM_RUNS.inc(backend="envelope")
+            _SIM_RUNS.inc(backend=backend)
             _POWER_EVALS.inc(self.micro.envelope.power_evals - evals_before)
         self.breakdown.final_stored = self.store.energy
         self.breakdown.clipped = self.store.clipped_energy

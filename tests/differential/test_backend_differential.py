@@ -4,8 +4,8 @@ The vectorized backend's licence to exist is that it is *the same
 simulation* as the scalar envelope backend, just amortised over a batch.
 This harness machine-checks that claim instead of assuming it:
 
-- every **named scenario** runs through envelope and vectorized at its
-  full horizon,
+- every **named scenario** runs through envelope and the lockstep
+  engine at its full horizon,
 - ``expand(n, seed)`` samples of **all five stochastic families** run
   through both backends as one batch per backend,
 - a **detailed** cross-check runs where it is cheap (a short window with
@@ -19,6 +19,11 @@ operation, so agreement is at rounding level (byte-identical payloads on
 the development platform); the detailed envelopes are loose, mirroring
 the conformance suite's model-fidelity bands.
 
+The vectorized side calls :func:`~repro.system.vectorized.simulate_batch`
+where a test pins the lockstep engine at fewer lanes than
+:data:`~repro.system.vectorized.LOCKSTEP_MIN_LANES`: the backend's own
+``run``/``run_batch`` would hand such batches to the scalar integrator.
+
 Failures print a full metric diff table, not just the first bad number.
 """
 
@@ -27,10 +32,11 @@ from typing import Dict
 
 import pytest
 
-from repro.backends import quiet_options, run, run_batch
+from repro.backends import quiet_options, run
 from repro.scenario import Scenario, named_scenario, scenario_names
 from repro.system.result import SystemResult
 from repro.system.stochastic import family_names, named_family
+from repro.system.vectorized import simulate_batch
 
 #: Replicates per stochastic-family grid point and the expansion seed.
 FAMILY_N = 2
@@ -107,9 +113,9 @@ def assert_agreement(
 
 
 def _pair(scenario: Scenario):
-    """Run one scenario on envelope and vectorized, traces off."""
+    """Run one scenario on envelope and the lockstep engine, traces off."""
     base = replace(scenario, options=quiet_options("envelope"))
-    return run(base), run(replace(base, backend="vectorized"))
+    return run(base), simulate_batch([replace(base, backend="vectorized")])[0]
 
 
 @pytest.mark.parametrize("name", sorted(scenario_names()))
@@ -123,8 +129,8 @@ def test_stochastic_families_differential(name):
     """Family expansions agree scenario-for-scenario across backends.
 
     Both sides run as *batches* (the vectorized side through one
-    ``run_batch`` call), so this also pins that lockstep batching does
-    not leak state between lanes.
+    lockstep engine call), so this also pins that lockstep batching
+    does not leak state between lanes.
     """
     family = named_family(name)
     scenarios = [
@@ -132,7 +138,7 @@ def test_stochastic_families_differential(name):
         for s in family.expand(n=FAMILY_N, seed=FAMILY_SEED)
     ]
     envelope = [run(s) for s in scenarios]
-    vectorized = run_batch(
+    vectorized = simulate_batch(
         [replace(s, backend="vectorized") for s in scenarios]
     )
     for scenario, env, vec in zip(scenarios, envelope, vectorized):
@@ -147,8 +153,8 @@ def test_batch_order_and_duplicates():
         for s in family.expand(n=2, seed=7)
     ]
     batch = [base[1], base[0], base[1], base[0]]
-    results = run_batch(batch)
-    singles = [run(s) for s in batch]
+    results = simulate_batch(batch)
+    singles = [simulate_batch([s])[0] for s in batch]
     for i, (got, want) in enumerate(zip(results, singles)):
         assert_agreement(
             f"slot {i}", want, got, TOLERANCES,
@@ -208,7 +214,7 @@ class TestByteIdentity:
             for s in family.expand(n=FAMILY_N, seed=FAMILY_SEED)
         ]
         envelope = [run(s) for s in scenarios]
-        vectorized = run_batch(
+        vectorized = simulate_batch(
             [replace(s, backend="vectorized") for s in scenarios]
         )
         for scenario, env, vec in zip(scenarios, envelope, vectorized):

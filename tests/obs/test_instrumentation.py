@@ -73,7 +73,8 @@ def test_batch_tier_counters_cover_all_three_tiers(clean_obs, tmp_path):
 
 
 # envelope: one pool item per scenario; vectorized: one run_batch
-# sub-batch per worker.
+# sub-batch per worker (two lanes each: the scalar integrator's side of
+# the lockstep crossover).
 @pytest.mark.parametrize("backend", ["envelope", "vectorized"])
 def test_process_pool_metrics_merge_back(clean_obs, tmp_path, backend):
     obs.configure(metrics=True)  # mirrored to env for the workers
@@ -83,11 +84,29 @@ def test_process_pool_metrics_merge_back(clean_obs, tmp_path, backend):
     runner.run(_scenarios(4, horizon=300.0))
     runs = registry.counter("repro_sim_runs_total", "", ("backend",))
     assert runs.value(backend=backend) == 4
+    if backend == "vectorized":
+        assert runs.value(backend="envelope") == 0
     if backend == "envelope":
         # The scalar harvester counts its power evaluations; the
         # vectorized engine derives its harvest coefficients itself.
         evals = registry.counter("repro_harvester_power_evals_total", "")
         assert evals.value() > 0
+
+
+@pytest.mark.parametrize("lanes", [1, 5])
+def test_vectorized_runs_count_once_in_process(clean_obs, lanes):
+    """A vectorized batch counts each scenario once, under its own
+    backend, whether the scalar integrator (1 lane) or the lockstep
+    engine (5 lanes) ran it."""
+    STATE.metrics_on = True
+    registry = obs.metrics()
+    registry.reset()
+    BatchRunner(jobs=1, cache_size=0, backend="vectorized").run(
+        _scenarios(lanes, horizon=300.0)
+    )
+    runs = registry.counter("repro_sim_runs_total", "", ("backend",))
+    assert runs.value(backend="vectorized") == lanes
+    assert runs.value(backend="envelope") == 0
 
 
 def test_power_evals_count_without_telemetry(clean_obs):

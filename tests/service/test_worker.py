@@ -8,6 +8,9 @@ of the scenarios the dead worker already wrote through to the store
 kill test one layer down).
 """
 
+import json
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -15,7 +18,8 @@ import pytest
 
 from repro.backends import EnvelopeBackend, register_backend
 from repro.errors import ConfigError, SimulationError
-from repro.service import JobQueue, WorkerPool
+from repro.service import JobQueue, ServiceApp, WorkerPool
+from repro.service.http import Request
 from repro.service.worker import DrainRequeue, execute_job
 from repro.scenario import PartsSpec, Scenario
 from repro.store import Campaign, ResultStore
@@ -85,6 +89,46 @@ def _scenario_payload(seed=0, backend="counting-service"):
         backend=backend,
         name=f"svc-{seed}",
     ).to_dict()
+
+
+def _post_job(app, payload):
+    """POST one job through the app's dispatch; returns its id."""
+    response = app.dispatch(
+        Request(
+            method="POST",
+            path="/v1/jobs",
+            query={},
+            headers={},
+            body=json.dumps(payload).encode(),
+            client="tester",
+        )
+    )
+    assert response.status == 201, response.payload
+    return response.payload["id"]
+
+
+def _idle_waiter(pool):
+    """Wrap the pool's claims; returns ``wait()``, which blocks until
+    every worker's latest claim found the queue empty (so each is in,
+    or just entering, its idle wait)."""
+    idle = {}
+    claim = pool.queue.claim
+
+    def tracked(worker):
+        job = claim(worker)
+        idle[worker] = job is None
+        return job
+
+    pool.queue.claim = tracked
+
+    def wait(timeout=5.0):
+        deadline = time.monotonic() + timeout
+        while len(idle) < pool.workers or not all(idle.values()):
+            assert time.monotonic() < deadline, "workers never went idle"
+            time.sleep(0.02)
+        time.sleep(0.1)
+
+    return wait
 
 
 def _backdate_heartbeat(store, job_id, by_s=3600.0):
@@ -241,6 +285,107 @@ def test_worker_states_snapshot(store):
             time.sleep(0.02)
     finally:
         assert pool.stop()
+
+
+# -- wake-ups -------------------------------------------------------------------
+
+
+def test_submit_wakes_idle_worker_and_stop_interrupts_wait(store, queue):
+    """A job POSTed through the app is claimed at once, not at the next
+    poll; stopping an idle pool does not wait out the poll either."""
+    pool = WorkerPool(store, workers=1, poll_interval=30.0)
+    app = ServiceApp(store, pool=pool, telemetry=False)
+    wait_idle = _idle_waiter(pool)
+    pool.start()
+    try:
+        wait_idle()
+        job_id = _post_job(app, _scenario_payload(seed=4))
+        deadline = time.monotonic() + 5.0
+        while queue.get(job_id).status != "done":
+            assert time.monotonic() < deadline, "idle worker was not woken"
+            time.sleep(0.02)
+        wait_idle()
+    finally:
+        started = time.monotonic()
+        assert pool.stop(timeout=10.0)
+    assert time.monotonic() - started < 2.0
+
+
+def test_notify_between_empty_claim_and_sleep_is_not_lost(store, queue):
+    """The lost-wake-up window, forced: a job commits and notifies after
+    a worker's claim found the queue empty but before the worker sleeps.
+    The worker must still claim it at once, not after the 60 s poll."""
+    pool = WorkerPool(store, workers=1, poll_interval=60.0)
+    claim = pool.queue.claim
+    injected = []
+
+    def racing_claim(worker):
+        job = claim(worker)
+        if job is None and not injected:
+            injected.append(queue.submit(_scenario_payload(seed=6)).id)
+            pool.notify()
+        return job
+
+    pool.queue.claim = racing_claim
+    pool.start()
+    try:
+        deadline = time.monotonic() + 5.0
+        while not injected or queue.get(injected[0]).status != "done":
+            assert time.monotonic() < deadline, "the wake-up was lost"
+            time.sleep(0.02)
+    finally:
+        assert pool.stop(timeout=10.0)
+
+
+def test_concurrent_submits_lose_no_wakeup(store, queue):
+    """Stress the wake-up handshake: 8 workers, 4 submitters racing 40
+    jobs under a tiny GIL switch interval.  A lost wake-up strands a job
+    for the 60 s poll; every job must finish on its first claim within
+    30 s."""
+    pool = WorkerPool(store, workers=8, poll_interval=60.0)
+    app = ServiceApp(store, pool=pool, telemetry=False)
+    job_ids = []
+    ids_lock = threading.Lock()
+    errors = []
+
+    def submitter(first_seed):
+        try:
+            for seed in range(first_seed, first_seed + 10):
+                job_id = _post_job(app, _scenario_payload(seed=seed))
+                with ids_lock:
+                    job_ids.append(job_id)
+                time.sleep(0.005)  # let the pool fall idle between jobs
+        except Exception as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    wait_idle = _idle_waiter(pool)
+    interval = sys.getswitchinterval()
+    pool.start()
+    try:
+        wait_idle()
+        sys.setswitchinterval(1e-6)
+        submitters = [
+            threading.Thread(target=submitter, args=(100 + 10 * i,))
+            for i in range(4)
+        ]
+        for thread in submitters:
+            thread.start()
+        for thread in submitters:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive(), "submitter hung"
+        assert errors == []
+        assert len(job_ids) == 40
+        deadline = time.monotonic() + 30.0
+        while queue.count(status="done") < 40:
+            assert time.monotonic() < deadline, (
+                f"stranded jobs: {queue.counts()}"
+            )
+            time.sleep(0.05)
+    finally:
+        sys.setswitchinterval(interval)
+        assert pool.stop(timeout=30.0), "a worker did not exit"
+    assert all(queue.get(job_id).attempts == 1 for job_id in job_ids)
+    assert pool.processed == 40 and pool.failed == 0
 
 
 # -- the acceptance property ---------------------------------------------------

@@ -1,16 +1,28 @@
-"""Unit tests for the vectorized batch envelope backend."""
+"""Unit tests for the vectorized batch envelope backend.
+
+Tests of the lockstep engine itself call :func:`simulate_batch`: the
+backend's ``run``/``run_batch`` hand batches narrower than
+:data:`LOCKSTEP_MIN_LANES` to the scalar integrator.
+"""
 
 import json
 from dataclasses import replace
 
 import pytest
 
-from repro.backends import get_backend, quiet_options, run, run_batch
+from repro.backends import get_backend, quiet_options, run
 from repro.errors import ConfigError
 from repro.scenario import PartsSpec, Scenario, named_scenario
+from repro.store.db import canonical_json
+from repro.system import vectorized
 from repro.system.components import paper_system
 from repro.system.config import SystemConfig
-from repro.system.vectorized import _build_parts, simulate_batch
+from repro.system.stochastic import named_family
+from repro.system.vectorized import (
+    LOCKSTEP_MIN_LANES,
+    _build_parts,
+    simulate_batch,
+)
 from repro.system.vibration import VibrationProfile
 
 
@@ -85,20 +97,20 @@ class TestBackendContract:
                 profile=None,
             ),
         ]
-        batched = run_batch(scenarios)
+        batched = simulate_batch(scenarios)
         for scenario, got in zip(scenarios, batched):
             want = run(replace(scenario, backend="envelope"))
             assert _canonical(got) == _canonical(want)
 
     def test_dt_max_option_matches_envelope(self):
         scenario = _short(options={"dt_max": 0.5, "record_traces": False})
-        got = run(scenario)
+        (got,) = simulate_batch([scenario])
         want = run(replace(scenario, backend="envelope"))
         assert _canonical(got) == _canonical(want)
 
     def test_traces_match_envelope(self):
         scenario = _short(options={})
-        got = run(scenario)
+        (got,) = simulate_batch([scenario])
         want = run(replace(scenario, backend="envelope"))
         assert json.dumps(got.traces.to_payload(), sort_keys=True) == json.dumps(
             want.traces.to_payload(), sort_keys=True
@@ -143,5 +155,44 @@ def test_runaway_guard_resets_per_event_stretch(monkeypatch):
         horizon=300.0,
         options={"dt_max": 1.0, "record_traces": False},
     )
-    result = run(scenario)
+    (result,) = simulate_batch([scenario])
     assert result.horizon >= 300.0 - 1e-9
+
+
+@pytest.mark.parametrize("traces", [True, False], ids=["traces-on", "traces-off"])
+@pytest.mark.parametrize("lanes", [1, 4, 5, 16])
+def test_run_batch_bytes_match_engine_and_envelope(monkeypatch, lanes, traces):
+    """Either side of the lockstep crossover, the backend's batch, the
+    engine's batch and scalar envelope runs give the same payload bytes,
+    and only batches of LOCKSTEP_MIN_LANES or more reach the engine."""
+    family = named_family("factory-floor")
+    scenarios = [
+        replace(
+            s,
+            horizon=600.0,
+            backend="vectorized",
+            options={"record_traces": traces},
+        )
+        for s in family.expand(n=lanes, seed=21)
+    ]
+    assert len(scenarios) == lanes
+    engine_lanes = []
+    engine_run = vectorized.VectorizedEnvelopeEngine.run
+
+    def counted(engine):
+        engine_lanes.append(len(engine.sims))
+        return engine_run(engine)
+
+    monkeypatch.setattr(vectorized.VectorizedEnvelopeEngine, "run", counted)
+
+    def payloads(results):
+        return [canonical_json(r.to_payload()) for r in results]
+
+    backend = payloads(get_backend("vectorized").run_batch(scenarios))
+    assert engine_lanes == ([lanes] if lanes >= LOCKSTEP_MIN_LANES else [])
+    engine = payloads(simulate_batch(scenarios))
+    envelope = payloads(
+        [run(replace(s, backend="envelope")) for s in scenarios]
+    )
+    assert backend == envelope
+    assert engine == envelope
