@@ -7,6 +7,9 @@ stack leans on:
 - **Cheap when off.**  Every instrument checks the global telemetry
   switch (:mod:`repro.obs.state`) before touching its lock, so an
   uninstrumented run pays one attribute read per call site.
+- **Cheap when on.**  A histogram observation bumps one bucket of a
+  mutable per-series record; the cumulative Prometheus counts are summed
+  only when a snapshot or :meth:`Histogram.state` reads them.
 - **Picklable snapshots that merge.**  :meth:`MetricsRegistry.snapshot`
   returns a plain-data :class:`MetricsSnapshot` that crosses process
   boundaries (``BatchRunner`` ships one back per worker item) and
@@ -26,7 +29,9 @@ from __future__ import annotations
 
 import re
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -57,19 +62,28 @@ class _HistogramState:
     sum: float
     count: int
 
-    def observe(self, value: float, buckets: Tuple[float, ...]) -> "_HistogramState":
-        counts = list(self.bucket_counts)
-        for i, bound in enumerate(buckets):
-            if value <= bound:
-                counts[i] += 1
-        return _HistogramState(tuple(counts), self.sum + value, self.count + 1)
 
-    def add(self, other: "_HistogramState") -> "_HistogramState":
-        return _HistogramState(
-            tuple(a + b for a, b in zip(self.bucket_counts, other.bucket_counts)),
-            self.sum + other.sum,
-            self.count + other.count,
-        )
+class _HistogramSeries:
+    """A live histogram series: per-bucket (not cumulative) counts."""
+
+    __slots__ = ("counts", "sum", "count")
+
+    def __init__(self, n_buckets: int) -> None:
+        self.counts = [0] * n_buckets
+        self.sum = 0.0
+        self.count = 0
+
+    def add(self, state: _HistogramState) -> None:
+        """Fold in a frozen (cumulative) state, e.g. a worker's."""
+        below = 0
+        for i, cumulative in enumerate(state.bucket_counts[: len(self.counts)]):
+            self.counts[i] += cumulative - below
+            below = cumulative
+        self.sum += state.sum
+        self.count += state.count
+
+    def freeze(self) -> _HistogramState:
+        return _HistogramState(tuple(accumulate(self.counts)), self.sum, self.count)
 
 
 class _Instrument:
@@ -94,13 +108,21 @@ class _Instrument:
         self._series: Dict[Tuple[str, ...], object] = {}
 
     def _key(self, labels: Mapping[str, object]) -> Tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise ConfigError(
-                f"metric {self.name} takes labels "
-                f"({', '.join(self.labelnames) or 'none'}), "
-                f"got ({', '.join(sorted(labels)) or 'none'})"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        names = self.labelnames
+        if len(labels) == len(names):
+            try:
+                return tuple([str(labels[name]) for name in names]) if names else ()
+            except KeyError:
+                pass
+        raise ConfigError(
+            f"metric {self.name} takes labels "
+            f"({', '.join(names) or 'none'}), "
+            f"got ({', '.join(sorted(labels)) or 'none'})"
+        )
+
+    def _frozen_series(self) -> Dict[Tuple[str, ...], object]:
+        """A plain-data copy of every series (call under the lock)."""
+        return dict(self._series)
 
 
 class Counter(_Instrument):
@@ -165,20 +187,30 @@ class Histogram(_Instrument):
         if not STATE.metrics_on:
             return
         key = self._key(labels)
+        value = float(value)
+        # The one bucket whose bound first admits the value (none for
+        # NaN or above the last bound: only ``+Inf``, i.e. count).
+        first = bisect_left(self.buckets, value)
+        admitted = first < len(self.buckets) and value <= self.buckets[first]
         with self._lock:
-            state = self._series.get(key)
-            if state is None:
-                state = _HistogramState(
-                    (0,) * len(self.buckets), 0.0, 0
-                )
-            self._series[key] = state.observe(float(value), self.buckets)
+            series = self._series.get(key)
+            if series is None:
+                series = self._series[key] = _HistogramSeries(len(self.buckets))
+            if admitted:
+                series.counts[first] += 1
+            series.sum += value
+            series.count += 1
 
     def state(self, **labels) -> _HistogramState:
+        key = self._key(labels)
         with self._lock:
-            found = self._series.get(self._key(labels))
-        if found is None:
-            return _HistogramState((0,) * len(self.buckets), 0.0, 0)
-        return found
+            found = self._series.get(key)
+            if found is not None:
+                return found.freeze()
+        return _HistogramState((0,) * len(self.buckets), 0.0, 0)
+
+    def _frozen_series(self) -> Dict[Tuple[str, ...], object]:
+        return {key: series.freeze() for key, series in self._series.items()}
 
     def count(self, **labels) -> int:
         return self.state(**labels).count
@@ -265,7 +297,7 @@ class MetricsRegistry:
                     "kind": instrument.kind,
                     "help": instrument.help,
                     "labelnames": instrument.labelnames,
-                    "series": dict(instrument._series),
+                    "series": instrument._frozen_series(),
                 }
                 if isinstance(instrument, Histogram):
                     entry["buckets"] = instrument.buckets
@@ -298,12 +330,12 @@ class MetricsRegistry:
                 for key, incoming in entry["series"].items():
                     if kind == "gauge":
                         series[key] = incoming
-                    elif key not in series:
-                        series[key] = incoming
                     elif kind == "counter":
-                        series[key] = series[key] + incoming
+                        series[key] = series.get(key, 0.0) + incoming
                     else:
-                        series[key] = series[key].add(incoming)
+                        if key not in series:
+                            series[key] = _HistogramSeries(len(instrument.buckets))
+                        series[key].add(incoming)
 
     def reset(self) -> None:
         """Zero every series (instruments stay registered)."""

@@ -114,6 +114,32 @@ def test_snapshot_pickles_and_merges_counters_and_histograms(on):
     assert dest.histogram("m_seconds", "help", buckets=(1.0,)).count() == 2
 
 
+def test_merged_histograms_add_buckets_sum_and_count(on):
+    source = on.histogram("mh_seconds", "help", buckets=(0.1, 1.0, 10.0))
+    for value in (0.1, 0.5, 5.0, 50.0):  # 0.1 sits exactly on a bound
+        source.observe(value)
+    shipped = pickle.loads(pickle.dumps(on.snapshot()))
+
+    dest = MetricsRegistry()
+    merged = dest.histogram("mh_seconds", "help", buckets=(0.1, 1.0, 10.0))
+    merged.observe(0.5)
+    dest.merge(shipped)
+    state = merged.state()
+    assert state.bucket_counts == (1, 3, 4)
+    assert state.count == 5
+    assert state.sum == pytest.approx(56.1)
+
+
+def test_snapshot_is_a_copy_of_live_histograms(on):
+    h = on.histogram("copy_seconds", "help", buckets=(1.0,))
+    h.observe(0.5)
+    snap = on.snapshot()
+    h.observe(0.5)
+    (state,) = snap.metrics["copy_seconds"]["series"].values()
+    assert (state.bucket_counts, state.count) == ((1,), 1)
+    assert h.state().bucket_counts == (2,)
+
+
 def test_merge_gauges_take_the_incoming_value(on):
     on.gauge("m_gauge", "help").set(10)
     shipped = on.snapshot()
