@@ -32,7 +32,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.state import STATE
@@ -184,22 +184,29 @@ class Histogram(_Instrument):
         self.buckets = bounds
 
     def observe(self, value: float, **labels) -> None:
+        self.observe_many((value,), **labels)
+
+    def observe_many(self, values: Iterable[float], **labels) -> None:
+        """:meth:`observe` each value in order, under one label lookup
+        and one lock acquisition."""
         if not STATE.metrics_on:
             return
         key = self._key(labels)
-        value = float(value)
-        # The one bucket whose bound first admits the value (none for
-        # NaN or above the last bound: only ``+Inf``, i.e. count).
-        first = bisect_left(self.buckets, value)
-        admitted = first < len(self.buckets) and value <= self.buckets[first]
+        bounds = self.buckets
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.buckets))
-            if admitted:
-                series.counts[first] += 1
-            series.sum += value
-            series.count += 1
+                series = self._series[key] = _HistogramSeries(len(bounds))
+            for value in values:
+                value = float(value)
+                # The one bucket whose bound first admits the value (none
+                # for NaN or above the last bound: only ``+Inf``, i.e.
+                # count).
+                first = bisect_left(bounds, value)
+                if first < len(bounds) and value <= bounds[first]:
+                    series.counts[first] += 1
+                series.sum += value
+                series.count += 1
 
     def state(self, **labels) -> _HistogramState:
         key = self._key(labels)

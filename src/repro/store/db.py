@@ -416,6 +416,17 @@ class ResultStore:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def __del__(self) -> None:
+        # An sqlite3 connection sits in a reference cycle of its own (its
+        # statement cache refers back to it), so dropping the store does
+        # not free it: the cyclic collector would close it later, paying
+        # the WAL checkpoint inside whatever code happens to be running.
+        # Close the calling thread's connection now instead.
+        try:
+            self.close()
+        except Exception:  # pragma: no cover - half-built store, shutdown
+            pass
+
     # Connections cannot cross process boundaries; workers reconnect.
     def __getstate__(self) -> dict:
         return {"path": self.path}

@@ -305,6 +305,10 @@ class VectorizedEnvelopeEngine:
         self._sess_t0 = [0.0] * n
         self._sess_e0 = [0.0] * n
         self._sess_wall = [0.0] * n
+        # Wall seconds of each session finished while metrics are on,
+        # observed in bulk when the run ends: one histogram update per
+        # session would cost a few percent of the batch.
+        self._sess_seconds: List[float] = []
         self._res_cache: Dict[Tuple[int, float], Tuple[object, float, float, float]] = {}
         # One-entry per-lane memo in front of the shared cache: fine
         # tuning alternates between a couple of neighbouring positions,
@@ -733,8 +737,7 @@ class VectorizedEnvelopeEngine:
         sim._session_active = False
         self._gen[i] = None
         if _OBS.metrics_on:
-            _TUNING_SESSIONS.inc()
-            _SESSION_SECONDS.observe(time.perf_counter() - self._sess_wall[i])
+            self._sess_seconds.append(time.perf_counter() - self._sess_wall[i])
         sim.tuning_events.append(
             TuningEvent(
                 time=self._sess_t0[i],
@@ -783,6 +786,10 @@ class VectorizedEnvelopeEngine:
                         "vectorized integrator failed to advance"
                     )
                 self._step(stepping)
+        if self._sess_seconds:
+            _TUNING_SESSIONS.inc(len(self._sess_seconds))
+            _SESSION_SECONDS.observe_many(self._sess_seconds)
+            self._sess_seconds = []
         return results  # type: ignore[return-value]
 
     # -- one lockstep integration step ---------------------------------------
@@ -1030,13 +1037,16 @@ def simulate_batch(scenarios: Sequence[Scenario]) -> List[SystemResult]:
         return []
     # Everything built for the batch lives until it completes, so a
     # collection during construction only re-scans survivors (about 26
-    # tracked objects per lane): defer it along with the run's.
+    # tracked objects per lane): defer it along with the run's.  The
+    # engine and its lane simulators are released before collection
+    # resumes, so the first pass afterwards scans only the results.
     with _gc_deferred():
         engine = VectorizedEnvelopeEngine(
             _lane_simulators(scenarios), [s.horizon for s in scenarios]
         )
         with span("sim.vectorized.batch", n=len(scenarios), integrator="lockstep"):
             results = engine.run()
+        del engine
     if _OBS.metrics_on:
         _SIM_RUNS.inc(len(results), backend="vectorized")
     return results

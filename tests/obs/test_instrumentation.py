@@ -96,17 +96,24 @@ def test_process_pool_metrics_merge_back(clean_obs, tmp_path, backend):
 @pytest.mark.parametrize("lanes", [1, 5])
 def test_vectorized_runs_count_once_in_process(clean_obs, lanes):
     """A vectorized batch counts each scenario once, under its own
-    backend, whether the scalar integrator (1 lane) or the lockstep
-    engine (5 lanes) ran it."""
+    backend, and counts and times each tuning session once, whether the
+    scalar integrator (1 lane) or the lockstep engine (5 lanes, which
+    reports its sessions in bulk when the run ends) ran it."""
     STATE.metrics_on = True
     registry = obs.metrics()
     registry.reset()
-    BatchRunner(jobs=1, cache_size=0, backend="vectorized").run(
-        _scenarios(lanes, horizon=300.0)
+    results = BatchRunner(jobs=1, cache_size=0, backend="vectorized").run(
+        _scenarios(lanes, horizon=900.0)
     )
     runs = registry.counter("repro_sim_runs_total", "", ("backend",))
     assert runs.value(backend="vectorized") == lanes
     assert runs.value(backend="envelope") == 0
+    sessions = sum(len(result.tuning_events) for result in results)
+    assert sessions >= lanes  # the 320 s watchdog fires within 900 s
+    counted = registry.counter("repro_sim_tuning_sessions_total", "")
+    timed = registry.histogram("repro_sim_session_seconds", "")
+    assert counted.value() == sessions
+    assert timed.count() == sessions
 
 
 def test_power_evals_count_without_telemetry(clean_obs):

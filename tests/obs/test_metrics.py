@@ -1,5 +1,6 @@
 """The metrics registry: instruments, snapshots, merging, exposition."""
 
+import math
 import pickle
 
 import pytest
@@ -64,6 +65,24 @@ def test_histogram_buckets_are_cumulative(on):
     assert state.sum == pytest.approx(56.05)
 
 
+def test_histogram_observe_many_equals_one_observe_per_value(on):
+    values = (0.05, 0.1, 0.5, 0.5, 5.0, 50.0, float("nan"))
+    single = on.histogram("one_seconds", "help", ("op",), buckets=(0.1, 1.0, 10.0))
+    bulk = on.histogram("many_seconds", "help", ("op",), buckets=(0.1, 1.0, 10.0))
+    for value in values:
+        single.observe(value, op="put")
+    bulk.observe_many(iter(values), op="put")
+    bulk.observe_many([], op="get")
+    for h in (single, bulk):
+        state = h.state(op="put")
+        assert state.bucket_counts == (2, 4, 5)  # NaN counts only in +Inf
+        assert state.count == len(values)
+    assert math.isnan(bulk.state(op="put").sum)
+    assert bulk.state(op="get").count == 0
+    with pytest.raises(ConfigError, match="takes labels"):
+        bulk.observe_many([1.0])
+
+
 def test_registry_get_or_create_is_idempotent(on):
     a = on.counter("same_total", "help", ("x",))
     b = on.counter("same_total", "other help ignored", ("x",))
@@ -94,6 +113,7 @@ def test_instruments_are_noops_while_metrics_are_off(clean_obs):
     h = registry.histogram("off_seconds", "help")
     c.inc()
     h.observe(1.0)
+    h.observe_many([1.0, 2.0])
     assert c.value() == 0
     assert h.count() == 0
 

@@ -213,6 +213,18 @@ def test_rejects_future_layout(tmp_path):
         ResultStore(tmp_path / "s.db")
 
 
+def test_dropping_a_store_closes_its_connection(tmp_path):
+    # sqlite3 connections sit in reference cycles, so without an
+    # explicit close one would stay open until a collector pass.
+    import sqlite3
+
+    store = ResultStore(tmp_path / "s.db")
+    conn = store._conn()
+    del store
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        conn.execute("SELECT 1")
+
+
 def test_store_survives_pickling(store):
     scenario = _scenarios(1)[0]
     store.put(scenario, _run(scenario))
