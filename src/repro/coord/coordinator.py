@@ -318,7 +318,7 @@ class Coordinator:
             source="coordinator",
             exist_ok=True,
         )
-        self._keys = [key for key, _ in self.campaign._journal_rows()]
+        self._keys = [key for key, _ in store.campaign_rows(self.name)]
         self.journal = CoordJournal(store)
         created = self.journal.create(self.name, self.manifest, self.partitions)
         self._resumed = not created

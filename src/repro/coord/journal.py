@@ -77,9 +77,9 @@ class PartitionState:
 class CoordJournal:
     """Durable run/partition state in a result store's database.
 
-    All writes go through ``BEGIN IMMEDIATE`` transactions like every
-    other store table, so a coordinator and a ``coord status`` reader
-    (or two racing coordinators) serialise cleanly.
+    All writes go through the store's ``BEGIN IMMEDIATE`` transaction
+    helper like every other store table, so a coordinator and a ``coord
+    status`` reader (or two racing coordinators) serialise cleanly.
     """
 
     def __init__(self, store: ResultStore):
@@ -101,10 +101,7 @@ class CoordJournal:
             raise ConfigError("partition count must be >= 1")
         manifest_doc = canonical_json(manifest)
         now = datetime.now(timezone.utc)
-        conn = self.store._conn()
-        existing = None
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self.store._transaction() as conn:
             existing = conn.execute(
                 "SELECT manifest, partitions FROM coord_runs WHERE name=?",
                 (name,),
@@ -129,10 +126,6 @@ class CoordJournal:
                         for index in range(1, int(partitions) + 1)
                     ],
                 )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         if existing is None:
             return True
         if existing[0] != manifest_doc or int(existing[1]) != int(partitions):
@@ -249,18 +242,12 @@ class CoordJournal:
         if bump_attempts:
             sets.append("attempts=attempts+1")
         params.extend([name, int(index)])
-        conn = self.store._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self.store._transaction() as conn:
             changed = conn.execute(
                 f"UPDATE coord_partitions SET {', '.join(sets)} "
                 f"WHERE run=? AND idx=?",
                 params,
             ).rowcount
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         if changed == 0:
             raise ConfigError(
                 f"no partition {index} journaled for coordinated "

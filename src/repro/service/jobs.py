@@ -272,8 +272,8 @@ class JobQueue:
     """The durable queue living inside a result store's database.
 
     All methods are safe to call from any thread or process pointed at
-    the same store file; writes serialise through ``BEGIN IMMEDIATE``
-    exactly like the store's own.
+    the same store file; writes serialise through the store's own
+    ``BEGIN IMMEDIATE`` transaction helper, exactly like its rows.
     """
 
     def __init__(self, store: ResultStore):
@@ -301,9 +301,7 @@ class JobQueue:
         if not job_name:
             job_name = f"job-{job_id}"
         now = _utc_now()
-        conn = self.store._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self.store._transaction() as conn:
             conn.execute(
                 "INSERT INTO jobs(id, kind, name, payload, status, priority, "
                 "owner, attempts, total, submitted_at, submitted_unix) "
@@ -320,10 +318,6 @@ class JobQueue:
                     now.timestamp(),
                 ),
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         if _OBS.metrics_on:
             _JOBS_SUBMITTED.inc(kind=kind)
         event("job.submit", job=job_id, kind=kind, name=job_name)
@@ -456,9 +450,7 @@ class JobQueue:
         if not worker:
             raise ConfigError("worker id must be non-empty")
         now = _wall_clock()
-        conn = self.store._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self.store._transaction() as conn:
             row = conn.execute(
                 "SELECT id FROM jobs WHERE status='queued' "
                 "ORDER BY priority DESC, submitted_unix, id LIMIT 1"
@@ -473,10 +465,6 @@ class JobQueue:
                 )
                 if cursor.rowcount == 1:
                     claimed = row[0]
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         if claimed is None:
             return None
         if _OBS.metrics_on:
@@ -594,14 +582,8 @@ class JobQueue:
         return requeued
 
     def _execute_write(self, sql: str, params) -> int:
-        conn = self.store._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self.store._transaction() as conn:
             cursor = conn.execute(sql, params)
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         return cursor.rowcount
 
     # -- progress and results ----------------------------------------------------
@@ -620,20 +602,10 @@ class JobQueue:
             if row is not None:
                 return row.done(self.store), row.total
             return 0, job.total
-        keys = self._campaign_keys(job.name)
+        keys = [key for key, _ in self.store.campaign_rows(job.name)]
         if keys:
-            return self.store.count_keys(list(dict.fromkeys(keys))), len(keys)
+            return self.store.count_keys(keys), len(keys)
         return 0, job.total
-
-    def _campaign_keys(self, name: str) -> List[str]:
-        return [
-            row[0]
-            for row in self.store._conn().execute(
-                "SELECT key FROM campaign_scenarios WHERE campaign=? "
-                "ORDER BY idx",
-                (name,),
-            )
-        ]
 
     def result_entries(
         self, job: Job, offset: int = 0, limit: int = 100, raw: bool = False
@@ -661,14 +633,7 @@ class JobQueue:
             keys = [] if row is None else list(row.keys)
             names = [f"point-{i}" for i in range(len(keys))]
         else:
-            pairs = [
-                (row[0], row[1])
-                for row in self.store._conn().execute(
-                    "SELECT key, scenario FROM campaign_scenarios "
-                    "WHERE campaign=? ORDER BY idx",
-                    (job.name,),
-                )
-            ]
+            pairs = self.store.campaign_rows(job.name)
             keys = [key for key, _ in pairs]
             names = [
                 json.loads(doc).get("name") or "" for _, doc in pairs

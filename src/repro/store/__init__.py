@@ -26,9 +26,14 @@ Quickstart::
 
     rows = store.query(family="factory-floor", min_transmissions=100)
 
+The store owns its tables: every write goes through one transaction
+helper, and journals are read and written only through its
+``put_campaign``/``campaign_rows``/``put_study``/... methods.
+
 Scaling out: a :class:`ShardedResultStore` spreads the result rows over
 N per-shard SQLite files behind the same API (N independent writers
-instead of one), :func:`merge_stores`/:func:`sync_stores` fold stores
+instead of one); it only routes, as a plain store is a one-shard store.
+:func:`merge_stores`/:func:`sync_stores` fold stores
 into each other with byte-identity checks, and
 :meth:`Campaign.partition` splits a campaign into disjoint slices that
 separate hosts run into their own stores (:mod:`repro.coord` drives
@@ -44,11 +49,13 @@ from repro.store.db import (
     RESULT_COLUMNS,
     STORE_SCHEMA,
     ResultStore,
+    StoredCampaign,
     StoredResult,
     StoredStudy,
     StoreStats,
     canonical_json,
     scenario_family,
+    shard_index,
 )
 from repro.store.campaign import (
     Campaign,
@@ -73,7 +80,6 @@ from repro.store.shard import (
     DEFAULT_SHARDS,
     ShardedResultStore,
     open_store,
-    shard_index,
 )
 
 __all__ = [
@@ -83,6 +89,7 @@ __all__ = [
     "MergeReport",
     "ResultStore",
     "ShardedResultStore",
+    "StoredCampaign",
     "StoredResult",
     "StoredStudy",
     "StoreStats",

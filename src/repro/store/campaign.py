@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.batch import BatchRunner, partition_slices
@@ -95,18 +94,15 @@ class Campaign:
             raise ConfigError("campaign name must be non-empty")
         self.store = store
         self.name = name
-        row = store._conn().execute(
-            "SELECT source, total, created_at FROM campaigns WHERE name=?",
-            (name,),
-        ).fetchone()
-        if row is None:
-            known = ", ".join(campaign_names(store)) or "(none)"
+        journal = store.get_campaign(name)
+        if journal is None:
+            known = ", ".join(store.campaign_names()) or "(none)"
             raise ConfigError(
                 f"unknown campaign {name!r} in {store.path} (known: {known})"
             )
-        self.source: str = row[0]
-        self.total: int = int(row[1])
-        self.created_at: str = row[2]
+        self.source: str = journal.source
+        self.total: int = journal.total
+        self.created_at: str = journal.created_at
 
     # -- creation ---------------------------------------------------------------
 
@@ -143,51 +139,13 @@ class Campaign:
         ]
         keys = [s.cache_key() for s in resolved]
 
-        # The existence check lives inside the write transaction: BEGIN
-        # IMMEDIATE serialises racing creators, so the loser *sees* the
-        # winner's row instead of dying on the UNIQUE constraint.
-        conn = store._conn()
-        now = datetime.now(timezone.utc)
-        journaled = None
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            existing = conn.execute(
-                "SELECT 1 FROM campaigns WHERE name=?", (name,)
-            ).fetchone()
-            if existing is None:
-                conn.execute(
-                    "INSERT INTO campaigns(name, source, total, created_at, "
-                    "created_unix) VALUES (?, ?, ?, ?, ?)",
-                    (
-                        name,
-                        source,
-                        len(resolved),
-                        now.isoformat(),
-                        now.timestamp(),
-                    ),
-                )
-                conn.executemany(
-                    "INSERT INTO campaign_scenarios(campaign, idx, key, "
-                    "scenario) VALUES (?, ?, ?, ?)",
-                    [
-                        (name, i, key, canonical_json(s.to_dict()))
-                        for i, (key, s) in enumerate(zip(keys, resolved))
-                    ],
-                )
-            else:
-                journaled = [
-                    row[0]
-                    for row in conn.execute(
-                        "SELECT key FROM campaign_scenarios "
-                        "WHERE campaign=? ORDER BY idx",
-                        (name,),
-                    )
-                ]
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        if journaled is not None:
+        # First writer wins: racing creators serialise in the store's
+        # write transaction, so the loser *sees* the winner's journal
+        # instead of dying on the UNIQUE constraint.  The documents are
+        # only serialised when this call writes the journal.
+        rows = ((key, canonical_json(s.to_dict())) for key, s in zip(keys, resolved))
+        if not store.put_campaign(name, source, rows):
+            journaled = [key for key, _ in store.campaign_rows(name)]
             if exist_ok and journaled == keys:
                 return cls(store, name)
             raise ConfigError(
@@ -205,23 +163,8 @@ class Campaign:
     def scenarios(self) -> List[Scenario]:
         """The journaled scenario list, in campaign order."""
         return [
-            Scenario.from_dict(json.loads(row[0]))
-            for row in self.store._conn().execute(
-                "SELECT scenario FROM campaign_scenarios "
-                "WHERE campaign=? ORDER BY idx",
-                (self.name,),
-            )
-        ]
-
-    def _journal_rows(self) -> List[Tuple[str, str]]:
-        """(key, scenario document) journal rows, in campaign order."""
-        return [
-            (row[0], row[1])
-            for row in self.store._conn().execute(
-                "SELECT key, scenario FROM campaign_scenarios "
-                "WHERE campaign=? ORDER BY idx",
-                (self.name,),
-            )
+            Scenario.from_dict(json.loads(doc))
+            for _, doc in self.store.campaign_rows(self.name)
         ]
 
     def pending(self) -> List[Scenario]:
@@ -232,7 +175,7 @@ class Campaign:
         rows need not share a database file -- on a sharded store the
         journal lives in the meta shard and the rows are spread out.
         """
-        rows = self._journal_rows()
+        rows = self.store.campaign_rows(self.name)
         present = self.store.have_keys([key for key, _ in rows])
         return [
             Scenario.from_dict(json.loads(doc))
@@ -242,7 +185,7 @@ class Campaign:
 
     def status(self) -> CampaignStatus:
         """Progress derived from the durable results table."""
-        keys = [key for key, _ in self._journal_rows()]
+        keys = [key for key, _ in self.store.campaign_rows(self.name)]
         present = self.store.have_keys(keys)
         done = sum(1 for key in keys if key in present)
         return CampaignStatus(
@@ -295,7 +238,7 @@ class Campaign:
                 f"campaign's store {self.store.path}; its results would "
                 f"never count as done here"
             )
-        scenarios = self.scenarios()
+        rows = self.store.campaign_rows(self.name)
         chunk = chunk_size or max(4 * runner.jobs, 16)
         if chunk < 1:
             raise ConfigError("chunk_size must be >= 1")
@@ -303,28 +246,27 @@ class Campaign:
         # Serve already-durable rows from the store, then simulate the
         # rest chunkwise, collecting each chunk's results as they are
         # produced -- the final assembly never re-reads fresh work.
+        # Keys come from the journal; only pending scenarios are decoded.
         by_key: dict = {}
+        pending_keys: List[str] = []
         pending: List[Scenario] = []
-        for scenario in scenarios:
-            key = scenario.cache_key()
+        for key, doc in rows:
             if key in by_key:
                 continue
-            stored = self.store.get(key)
-            if stored is not None:
-                by_key[key] = stored
-            else:
-                by_key[key] = None
-                pending.append(scenario)
-        done = len(scenarios) - len(pending)
+            by_key[key] = self.store.get(key)
+            if by_key[key] is None:
+                pending_keys.append(key)
+                pending.append(Scenario.from_dict(json.loads(doc)))
+        done = len(rows) - len(pending)
         with span(
             "campaign.run",
             campaign=self.name,
-            total=len(scenarios),
+            total=len(rows),
             pending=len(pending),
         ):
             for start in range(0, len(pending), chunk):
                 if on_chunk is not None:
-                    on_chunk(done, len(scenarios))
+                    on_chunk(done, len(rows))
                 batch = pending[start : start + chunk]
                 with span(
                     "campaign.chunk",
@@ -332,12 +274,13 @@ class Campaign:
                     start=start,
                     size=len(batch),
                 ):
-                    for scenario, result in zip(batch, runner.run(batch)):
-                        by_key[scenario.cache_key()] = result
+                    by_key.update(
+                        zip(pending_keys[start : start + chunk], runner.run(batch))
+                    )
                 done += len(batch)
             if on_chunk is not None:
-                on_chunk(done, len(scenarios))
-        return [by_key[s.cache_key()] for s in scenarios]
+                on_chunk(done, len(rows))
+        return [by_key[key] for key, _ in rows]
 
     def resume(
         self,
@@ -467,12 +410,7 @@ class CampaignPartition:
 
 def campaign_names(store: ResultStore) -> List[str]:
     """Names of every campaign journaled in ``store``, sorted."""
-    return [
-        row[0]
-        for row in store._conn().execute(
-            "SELECT name FROM campaigns ORDER BY name"
-        )
-    ]
+    return store.campaign_names()
 
 
 def campaign_statuses(store: ResultStore) -> List[CampaignStatus]:

@@ -24,6 +24,16 @@ Design notes
 - **Canonical bytes.**  Payloads are serialised with sorted keys and
   fixed separators, so identical results are byte-identical rows --
   which is what the concurrent-writer tests assert.
+- **One transaction rule.**  Every write to a store file (rows,
+  journals, jobs, coordinator state) goes through
+  :meth:`ResultStore._transaction`, which rolls back only a transaction
+  SQLite has not already rolled back itself, so the real error surfaces.
+- **One journal API.**  Campaign and study journals are read and written
+  only through the store's methods (``put_campaign``, ``campaign_rows``,
+  ``put_study``, ...); merges copy them through the same writers.
+- **A plain store is a one-shard store.**  Result rows are reached only
+  through ``_shard_for``/``_shard_files``, which return the store itself
+  here; :class:`~repro.store.shard.ShardedResultStore` only overrides them.
 """
 
 from __future__ import annotations
@@ -33,10 +43,12 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass
+import zlib
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError, DesignError, StoreError
 from repro.obs.metrics import metrics as _obs_metrics
@@ -170,6 +182,11 @@ RESULT_COLUMNS = (
     "scenario", "payload", "repro_version", "wall_time_s",
     "created_at", "created_unix",
 )
+_RAW_SELECT = ", ".join(RESULT_COLUMNS)
+_INSERT_RESULT = (
+    f"INSERT OR IGNORE INTO results ({_RAW_SELECT}) "
+    f"VALUES ({','.join('?' * len(RESULT_COLUMNS))})"
+)
 
 
 def canonical_json(payload: object) -> str:
@@ -183,6 +200,52 @@ def canonical_json(payload: object) -> str:
 
 def _utc_now() -> datetime:
     return datetime.now(timezone.utc)
+
+
+def _on_disk(path: Union[str, Path]) -> Path:
+    """``path`` as a :class:`Path`, refusing SQLite's in-memory names."""
+    text = str(path)
+    if text == ":memory:" or text.startswith("file::memory:"):
+        raise ConfigError(
+            "the result store must live on disk (an in-memory store "
+            "would give every worker its own empty database)"
+        )
+    return Path(text)
+
+
+def _stamp(
+    created_at: Optional[str], created_unix: Optional[float]
+) -> Tuple[str, float]:
+    """A journal row's creation stamp: the one given (merge), else now."""
+    if created_at is None or created_unix is None:
+        now = _utc_now()
+        return now.isoformat(), now.timestamp()
+    return created_at, float(created_unix)
+
+
+def shard_index(key: str, n_shards: int) -> int:
+    """Which shard a content key routes to.
+
+    Keys are SHA-256 hex digests, so the first 8 hex digits are a
+    uniform 32-bit integer; arbitrary non-hex keys fall back to CRC-32
+    of the text so lookups never crash on garbage input.
+    """
+    try:
+        prefix = int(key[:8], 16)
+    except ValueError:
+        prefix = zlib.crc32(key.encode("utf-8"))
+    return prefix % n_shards
+
+
+def _in_chunks(keys: List[str]) -> Iterator[Tuple[str, List[str]]]:
+    """``keys`` as ``(placeholders, chunk)`` pairs of at most 500 keys.
+
+    One ``key IN (?, ...)`` statement per chunk keeps every statement
+    under SQLite's bound-parameter limit.
+    """
+    for start in range(0, len(keys), 500):
+        chunk = keys[start : start + 500]
+        yield ",".join("?" * len(chunk)), chunk
 
 
 def scenario_family(scenario: Scenario) -> str:
@@ -244,6 +307,26 @@ class StoredResult:
         }
 
 
+#: The ``results`` columns :meth:`ResultStore.query` reads, in
+#: :class:`StoredResult` field order.
+_QUERY_SELECT = ", ".join(field.name for field in fields(StoredResult))
+
+
+@dataclass(frozen=True)
+class StoredCampaign:
+    """One campaign-journal header row (:mod:`repro.store.campaign`).
+
+    The journaled scenarios themselves come from
+    :meth:`ResultStore.campaign_rows`.
+    """
+
+    name: str
+    source: str
+    total: int
+    created_at: str
+    created_unix: float
+
+
 @dataclass(frozen=True)
 class StoredStudy:
     """One study-journal row (:mod:`repro.core.study`), decoded.
@@ -262,6 +345,7 @@ class StoredStudy:
     keys: list
     total: int
     created_at: str
+    created_unix: float = 0.0
 
     def done(self, store: "ResultStore") -> int:
         """How many of this study's simulations ``store`` already holds."""
@@ -337,13 +421,7 @@ class ResultStore:
     """
 
     def __init__(self, path: Union[str, Path]):
-        text = str(path)
-        if text == ":memory:" or text.startswith("file::memory:"):
-            raise ConfigError(
-                "the result store must live on disk (an in-memory store "
-                "would give every worker its own empty database)"
-            )
-        self.path = Path(text)
+        self.path = _on_disk(path)
         if not self.path.parent.exists():
             raise ConfigError(
                 f"store directory {str(self.path.parent)!r} does not exist"
@@ -369,10 +447,29 @@ class ResultStore:
             self._connections[ident] = conn
         return conn
 
-    def _init_schema(self) -> None:
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """The caller's connection inside one ``BEGIN IMMEDIATE`` transaction.
+
+        Commits when the block exits normally.  On an exception it rolls
+        back only while the transaction is still open -- SQLite rolls
+        some failures back by itself (a ``RAISE(ROLLBACK)`` trigger, an
+        interrupt, a full disk or I/O error) -- and re-raises the
+        original error, never a ``cannot rollback`` in its place.  Every
+        write to the store file goes through here.
+        """
         conn = self._conn()
         conn.execute("BEGIN IMMEDIATE")
         try:
+            yield conn
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
+
+    def _init_schema(self) -> None:
+        with self._transaction() as conn:
             # Not executescript(): that would commit the open transaction.
             for statement in _TABLES.split(";"):
                 if statement.strip():
@@ -391,10 +488,6 @@ class ResultStore:
                     f"store {self.path} has layout version {row[0]} "
                     f"(this library reads version {STORE_SCHEMA})"
                 )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     def close(self) -> None:
         """Close the calling (process, thread)'s connection.
@@ -438,6 +531,31 @@ class ResultStore:
     def __repr__(self) -> str:
         return f"ResultStore({str(self.path)!r})"
 
+    # -- shard hooks --------------------------------------------------------------
+
+    def _shard_for(self, key: str) -> "ResultStore":
+        """The store file holding ``key``'s result row (here: this one)."""
+        return self
+
+    def _shard_files(self) -> List["ResultStore"]:
+        """Every store file holding result rows, in shard order.
+
+        A plain store is its own only shard.  The list is built per
+        call: a store keeping a reference to itself would sit in a
+        reference cycle and miss its close-on-drop.
+        """
+        return [self]
+
+    def _group_keys(
+        self, keys: Iterable[str]
+    ) -> List[Tuple["ResultStore", List[str]]]:
+        """``keys`` grouped by the store file holding their rows."""
+        shards = self._shard_files()
+        groups: Dict[int, List[str]] = {}
+        for key in keys:
+            groups.setdefault(shard_index(key, len(shards)), []).append(key)
+        return [(shards[index], group) for index, group in groups.items()]
+
     # -- writing ----------------------------------------------------------------
 
     def put(
@@ -458,19 +576,9 @@ class ResultStore:
         t0 = time.perf_counter() if _OBS.metrics_on else 0.0
         key = scenario.cache_key()
         now = _utc_now()
-        conn = self._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._shard_for(key)._transaction() as conn:
             cursor = conn.execute(
-                """
-                INSERT OR IGNORE INTO results (
-                    key, name, family, backend, horizon, seed,
-                    clock_hz, watchdog_s, tx_interval_s,
-                    transmissions, final_voltage,
-                    scenario, payload, repro_version, wall_time_s,
-                    created_at, created_unix
-                ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                """,
+                _INSERT_RESULT,
                 (
                     key,
                     scenario.name,
@@ -491,10 +599,6 @@ class ResultStore:
                     now.timestamp(),
                 ),
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         inserted = cursor.rowcount == 1
         if _OBS.metrics_on:
             _STORE_OPS.inc(op="put", outcome="insert" if inserted else "dedup")
@@ -518,25 +622,15 @@ class ResultStore:
                 f"raw result row must have {len(RESULT_COLUMNS)} columns "
                 f"({', '.join(RESULT_COLUMNS)}), got {len(row)}"
             )
-        placeholders = ",".join("?" * len(RESULT_COLUMNS))
-        conn = self._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            cursor = conn.execute(
-                f"INSERT OR IGNORE INTO results ({', '.join(RESULT_COLUMNS)}) "
-                f"VALUES ({placeholders})",
-                tuple(row),
-            )
+        shard = self._shard_for(str(row[0]))
+        with shard._transaction() as conn:
+            cursor = conn.execute(_INSERT_RESULT, tuple(row))
             existing = None
             if cursor.rowcount != 1:
                 existing = conn.execute(
                     "SELECT scenario, payload FROM results WHERE key=?",
                     (row[0],),
                 ).fetchone()
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         if existing is None:
             return True
         scenario_idx = RESULT_COLUMNS.index("scenario")
@@ -551,7 +645,7 @@ class ResultStore:
                 if mine != theirs
             ]
             raise StoreError(
-                f"result {row[0]} in {self.path} and "
+                f"result {row[0]} in {shard.path} and "
                 f"{source or 'the incoming row'} share a content key but "
                 f"their canonical bytes differ ({', '.join(diverged)}); "
                 f"one of the stores is corrupt or non-deterministic"
@@ -560,19 +654,22 @@ class ResultStore:
 
     # -- reading ----------------------------------------------------------------
 
-    @staticmethod
-    def _key_of(scenario_or_key: Union[Scenario, str]) -> str:
+    def _select(
+        self, columns: str, scenario_or_key: Union[Scenario, str]
+    ) -> Optional[Tuple]:
+        """One result row's ``columns``, or ``None``: every point lookup."""
         if isinstance(scenario_or_key, Scenario):
-            return scenario_or_key.cache_key()
-        return str(scenario_or_key)
+            key = scenario_or_key.cache_key()
+        else:
+            key = str(scenario_or_key)
+        return self._shard_for(key)._conn().execute(
+            f"SELECT {columns} FROM results WHERE key=?", (key,)
+        ).fetchone()
 
     def get(self, scenario_or_key: Union[Scenario, str]) -> Optional[SystemResult]:
         """The stored result for a scenario (or raw key), or ``None``."""
         t0 = time.perf_counter() if _OBS.metrics_on else 0.0
-        key = self._key_of(scenario_or_key)
-        row = self._conn().execute(
-            "SELECT payload FROM results WHERE key=?", (key,)
-        ).fetchone()
+        row = self._select("payload", scenario_or_key)
         if _OBS.metrics_on:
             _STORE_OPS.inc(op="get", outcome="hit" if row else "miss")
             _STORE_OP_SECONDS.observe(time.perf_counter() - t0, op="get")
@@ -584,10 +681,7 @@ class ResultStore:
         self, scenario_or_key: Union[Scenario, str]
     ) -> Optional[str]:
         """The stored payload's exact bytes (for integrity checks)."""
-        key = self._key_of(scenario_or_key)
-        row = self._conn().execute(
-            "SELECT payload FROM results WHERE key=?", (key,)
-        ).fetchone()
+        row = self._select("payload", scenario_or_key)
         return None if row is None else row[0]
 
     def get_raw(self, scenario_or_key: Union[Scenario, str]) -> Optional[Tuple]:
@@ -599,95 +693,148 @@ class ResultStore:
         coordinators so a merge over HTTP preserves the same bytes a
         file-level merge would.
         """
-        key = self._key_of(scenario_or_key)
-        row = self._conn().execute(
-            f"SELECT {', '.join(RESULT_COLUMNS)} FROM results WHERE key=?",
-            (key,),
-        ).fetchone()
+        row = self._select(_RAW_SELECT, scenario_or_key)
         return None if row is None else tuple(row)
 
     def get_scenario(
         self, scenario_or_key: Union[Scenario, str]
     ) -> Optional[Scenario]:
         """The scenario document stored next to a result, or ``None``."""
-        key = self._key_of(scenario_or_key)
-        row = self._conn().execute(
-            "SELECT scenario FROM results WHERE key=?", (key,)
-        ).fetchone()
+        row = self._select("scenario", scenario_or_key)
         return None if row is None else Scenario.from_dict(json.loads(row[0]))
 
     def __contains__(self, scenario_or_key: Union[Scenario, str]) -> bool:
-        key = self._key_of(scenario_or_key)
-        row = self._conn().execute(
-            "SELECT 1 FROM results WHERE key=?", (key,)
-        ).fetchone()
-        return row is not None
+        return self._select("1", scenario_or_key) is not None
 
     def __len__(self) -> int:
-        return int(self._conn().execute("SELECT COUNT(*) FROM results").fetchone()[0])
+        return sum(
+            int(shard._conn().execute("SELECT COUNT(*) FROM results").fetchone()[0])
+            for shard in self._shard_files()
+        )
 
     def count_keys(self, keys: List[str]) -> int:
-        """How many of ``keys`` (assumed distinct) have stored results.
+        """How many of ``keys`` have stored results.
 
-        One aggregated query per 500 keys instead of a SELECT per key --
-        what study/campaign progress polls want.
+        What study/campaign progress polls want: counted through
+        :meth:`have_keys`, so one aggregated query per 500 keys instead
+        of a SELECT per key.
         """
-        conn = self._conn()
-        total = 0
-        for start in range(0, len(keys), 500):
-            chunk = keys[start : start + 500]
-            placeholders = ",".join("?" * len(chunk))
-            total += int(
-                conn.execute(
-                    f"SELECT COUNT(*) FROM results WHERE key IN ({placeholders})",
-                    chunk,
-                ).fetchone()[0]
-            )
-        return total
+        return len(self.have_keys(keys))
 
     def have_keys(self, keys: List[str]) -> set:
         """The subset of ``keys`` that have stored results.
 
-        The set-valued sibling of :meth:`count_keys`, for callers that
-        need to know *which* keys are done (campaign progress over a
-        sharded store), again one aggregated query per 500 keys.
+        Campaign progress needs to know *which* keys are done; one
+        aggregated query per 500 keys per shard file.
         """
-        conn = self._conn()
         present: set = set()
-        distinct = list(dict.fromkeys(keys))
-        for start in range(0, len(distinct), 500):
-            chunk = distinct[start : start + 500]
-            placeholders = ",".join("?" * len(chunk))
-            present.update(
-                row[0]
-                for row in conn.execute(
-                    f"SELECT key FROM results WHERE key IN ({placeholders})",
-                    chunk,
+        for shard, group in self._group_keys(dict.fromkeys(keys)):
+            conn = shard._conn()
+            for placeholders, chunk in _in_chunks(group):
+                present.update(
+                    row[0]
+                    for row in conn.execute(
+                        f"SELECT key FROM results WHERE key IN ({placeholders})",
+                        chunk,
+                    )
                 )
-            )
         return present
 
     def keys(self) -> List[str]:
         """Every stored content key, sorted."""
-        return [
+        return sorted(
             row[0]
-            for row in self._conn().execute(
-                "SELECT key FROM results ORDER BY key"
-            )
-        ]
+            for shard in self._shard_files()
+            for row in shard._conn().execute("SELECT key FROM results")
+        )
 
     def iter_raw(self) -> Iterator[Tuple]:
         """Every results row as a raw :data:`RESULT_COLUMNS` tuple.
 
-        Key-ordered and streamed from the reader's own connection; the
-        merge primitives feed these straight into :meth:`put_raw` on
-        another store.
+        Streamed shard by shard, key-ordered within each, from the
+        reader's own connections; the merge primitives feed these
+        straight into :meth:`put_raw` on another store.
         """
-        cursor = self._conn().execute(
-            f"SELECT {', '.join(RESULT_COLUMNS)} FROM results ORDER BY key"
-        )
-        for row in cursor:
-            yield tuple(row)
+        for shard in self._shard_files():
+            for row in shard._conn().execute(
+                f"SELECT {_RAW_SELECT} FROM results ORDER BY key"
+            ):
+                yield tuple(row)
+
+    # -- campaign journal --------------------------------------------------------
+
+    def put_campaign(
+        self,
+        name: str,
+        source: str,
+        rows: Iterable[Tuple[str, str]],
+        created_at: Optional[str] = None,
+        created_unix: Optional[float] = None,
+    ) -> bool:
+        """Journal campaign ``name`` as ordered ``(key, scenario document)`` rows.
+
+        First writer wins, like :meth:`put_study`: the existence check
+        runs inside the write transaction, so racing creators serialise
+        and the loser gets ``False`` (and can read the winner's
+        :meth:`campaign_rows`) instead of dying on the UNIQUE
+        constraint.  ``rows`` is only consumed when this call inserts.
+        The creation stamp defaults to now; a merge passes the source
+        journal's ``created_at``/``created_unix`` so the copy is
+        byte-identical.  Returns ``True`` when this call inserted.
+        """
+        created_at, created_unix = _stamp(created_at, created_unix)
+        with self._transaction() as conn:
+            if conn.execute(
+                "SELECT 1 FROM campaigns WHERE name=?", (name,)
+            ).fetchone():
+                return False
+            rows = list(rows)
+            conn.execute(
+                "INSERT INTO campaigns(name, source, total, created_at, "
+                "created_unix) VALUES (?, ?, ?, ?, ?)",
+                (name, source, len(rows), created_at, created_unix),
+            )
+            conn.executemany(
+                "INSERT INTO campaign_scenarios(campaign, idx, key, scenario) "
+                "VALUES (?, ?, ?, ?)",
+                [(name, idx, key, doc) for idx, (key, doc) in enumerate(rows)],
+            )
+        return True
+
+    def get_campaign(self, name: str) -> Optional[StoredCampaign]:
+        """The campaign-journal header for ``name``, or ``None``."""
+        row = self._conn().execute(
+            "SELECT name, source, total, created_at, created_unix "
+            "FROM campaigns WHERE name=?",
+            (name,),
+        ).fetchone()
+        if row is None:
+            return None
+        return StoredCampaign(row[0], row[1], int(row[2]), row[3], float(row[4]))
+
+    def campaign_rows(self, name: str) -> List[Tuple[str, str]]:
+        """Campaign ``name``'s ``(key, scenario document)`` rows, in order.
+
+        Empty for an unknown campaign.  The documents are the exact
+        journaled bytes.
+        """
+        return [
+            (row[0], row[1])
+            for row in self._conn().execute(
+                "SELECT key, scenario FROM campaign_scenarios "
+                "WHERE campaign=? ORDER BY idx",
+                (name,),
+            )
+        ]
+
+    def campaign_names(self) -> List[str]:
+        """Names of every journaled campaign, sorted."""
+        return [
+            row[0]
+            for row in self._conn().execute(
+                "SELECT name FROM campaigns ORDER BY name"
+            )
+        ]
 
     # -- study journal ----------------------------------------------------------
 
@@ -699,6 +846,8 @@ class ResultStore:
         design_name: str,
         points: list,
         keys: list,
+        created_at: Optional[str] = None,
+        created_unix: Optional[float] = None,
     ) -> bool:
         """Journal a study (spec + resolved design matrix) under ``name``.
 
@@ -709,12 +858,11 @@ class ResultStore:
         row survives and both see it.  Returns ``True`` when this call
         inserted the row.  Spec consistency (same name, different spec)
         is the caller's check -- :class:`~repro.core.study.Study`
-        compares ``spec_key``.
+        compares ``spec_key``.  The creation stamp defaults to now; a
+        merge passes the source row's ``created_at``/``created_unix``.
         """
-        now = _utc_now()
-        conn = self._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        created_at, created_unix = _stamp(created_at, created_unix)
+        with self._transaction() as conn:
             cursor = conn.execute(
                 "INSERT OR IGNORE INTO studies(name, spec, spec_key, "
                 "design_name, points, keys, total, created_at, created_unix) "
@@ -727,18 +875,15 @@ class ResultStore:
                     canonical_json(points),
                     canonical_json(list(keys)),
                     len(keys),
-                    now.isoformat(),
-                    now.timestamp(),
+                    created_at,
+                    created_unix,
                 ),
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         return cursor.rowcount == 1
 
     _STUDY_COLUMNS = (
-        "name, spec, spec_key, design_name, points, keys, total, created_at"
+        "name, spec, spec_key, design_name, points, keys, total, created_at, "
+        "created_unix"
     )
 
     @staticmethod
@@ -752,6 +897,7 @@ class ResultStore:
             keys=json.loads(row[5]),
             total=int(row[6]),
             created_at=row[7],
+            created_unix=float(row[8]),
         )
 
     def get_study(self, name: str) -> Optional[StoredStudy]:
@@ -830,36 +976,27 @@ class ResultStore:
         if tx_interval_s is not None:
             _where("tx_interval_s = ?", float(tx_interval_s))
 
-        sql = (
-            "SELECT key, name, family, backend, horizon, seed, clock_hz, "
-            "watchdog_s, tx_interval_s, transmissions, final_voltage, "
-            "repro_version, wall_time_s, created_at FROM results"
-        )
+        sql = f"SELECT {_QUERY_SELECT} FROM results"
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY created_unix, key"
         if limit is not None:
             sql += " LIMIT ?"
             params.append(int(limit))
-        return [
-            StoredResult(
-                key=row[0],
-                name=row[1],
-                family=row[2],
-                backend=row[3],
-                horizon=row[4],
-                seed=row[5],
-                clock_hz=row[6],
-                watchdog_s=row[7],
-                tx_interval_s=row[8],
-                transmissions=row[9],
-                final_voltage=row[10],
-                repro_version=row[11],
-                wall_time_s=row[12],
-                created_at=row[13],
-            )
-            for row in self._conn().execute(sql, params)
+        shards = self._shard_files()
+        rows = [
+            StoredResult(*row)
+            for shard in shards
+            for row in shard._conn().execute(sql, params)
         ]
+        if len(shards) > 1:
+            # Re-establish the store-wide order (ISO-8601 timestamps in
+            # one timezone sort lexically), then re-apply the limit that
+            # each shard applied only locally.
+            rows.sort(key=lambda row: (row.created_at, row.key))
+            if limit is not None:
+                rows = rows[: int(limit)]
+        return rows
 
     def iter_results(self, **filters) -> Iterator[Tuple[StoredResult, SystemResult]]:
         """Yield (row, full result) pairs for :meth:`query` filters."""
@@ -921,50 +1058,50 @@ class ResultStore:
 
     def stats(self) -> StoreStats:
         """Aggregate counts, sizes and provenance span."""
+        by_backend: Dict[str, int] = {}
+        by_family: Dict[str, int] = {}
+        payload_bytes = file_bytes = 0
+        wall_time = 0.0
+        stamps: List[str] = []
+        for shard in self._shard_files():
+            conn = shard._conn()
+            for column, counts in (("backend", by_backend), ("family", by_family)):
+                for label, count in conn.execute(
+                    f"SELECT {column}, COUNT(*) FROM results GROUP BY {column}"
+                ):
+                    counts[label] = counts.get(label, 0) + int(count)
+            size, wall, oldest, newest = conn.execute(
+                "SELECT COALESCE(SUM(LENGTH(payload)), 0), "
+                "COALESCE(SUM(wall_time_s), 0.0), "
+                "MIN(created_at), MAX(created_at) FROM results"
+            ).fetchone()
+            payload_bytes += int(size)
+            wall_time += float(wall)
+            stamps.extend(stamp for stamp in (oldest, newest) if stamp)
+            if shard.path.exists():
+                file_bytes += shard.path.stat().st_size
+        # Journals and jobs live in this (meta) file only.
         conn = self._conn()
-        n_results = int(conn.execute("SELECT COUNT(*) FROM results").fetchone()[0])
-        n_campaigns = int(
-            conn.execute("SELECT COUNT(*) FROM campaigns").fetchone()[0]
-        )
-        by_backend = tuple(
-            (row[0], int(row[1]))
-            for row in conn.execute(
-                "SELECT backend, COUNT(*) FROM results "
-                "GROUP BY backend ORDER BY backend"
-            )
-        )
-        by_family = tuple(
-            (row[0], int(row[1]))
-            for row in conn.execute(
-                "SELECT family, COUNT(*) FROM results "
-                "GROUP BY family ORDER BY family"
-            )
-        )
-        by_job_status = tuple(
-            (row[0], int(row[1]))
-            for row in conn.execute(
-                "SELECT status, COUNT(*) FROM jobs "
-                "GROUP BY status ORDER BY status"
-            )
-        )
-        payload_bytes, wall_time, oldest, newest = conn.execute(
-            "SELECT COALESCE(SUM(LENGTH(payload)), 0), "
-            "COALESCE(SUM(wall_time_s), 0.0), "
-            "MIN(created_at), MAX(created_at) FROM results"
-        ).fetchone()
-        file_bytes = self.path.stat().st_size if self.path.exists() else 0
         return StoreStats(
             path=str(self.path),
-            n_results=n_results,
-            n_campaigns=n_campaigns,
-            by_backend=by_backend,
-            by_family=by_family,
-            payload_bytes=int(payload_bytes),
-            file_bytes=int(file_bytes),
-            total_wall_time_s=float(wall_time),
-            oldest=oldest,
-            newest=newest,
-            by_job_status=by_job_status,
+            n_results=len(self),
+            n_campaigns=int(
+                conn.execute("SELECT COUNT(*) FROM campaigns").fetchone()[0]
+            ),
+            by_backend=tuple(sorted(by_backend.items())),
+            by_family=tuple(sorted(by_family.items())),
+            payload_bytes=payload_bytes,
+            file_bytes=file_bytes,
+            total_wall_time_s=wall_time,
+            oldest=min(stamps, default=None),
+            newest=max(stamps, default=None),
+            by_job_status=tuple(
+                (row[0], int(row[1]))
+                for row in conn.execute(
+                    "SELECT status, COUNT(*) FROM jobs "
+                    "GROUP BY status ORDER BY status"
+                )
+            ),
         )
 
     def gc(
@@ -1023,38 +1160,43 @@ class ResultStore:
         if family is not None:
             clauses.append("family = ?")
             params.append(family)
-        if orphans:
-            clauses.append("key NOT IN (SELECT key FROM campaign_scenarios)")
         where = " AND ".join(clauses) or "1"
-        return [
+        candidates = [
             row[0]
-            for row in self._conn().execute(
+            for shard in self._shard_files()
+            for row in shard._conn().execute(
                 f"SELECT key FROM results WHERE {where}", params
             )
         ]
+        if orphans:
+            # The campaign journal lives in this (meta) file only, so
+            # orphans are filtered here rather than by a per-shard SQL
+            # subquery (which would call every other shard's row one).
+            journaled = {
+                row[0]
+                for row in self._conn().execute(
+                    "SELECT key FROM campaign_scenarios"
+                )
+            }
+            candidates = [key for key in candidates if key not in journaled]
+        return candidates
 
     def _delete_keys(self, keys: List[str]) -> int:
         """Delete rows by key (chunked), compact, return the count."""
-        if not keys:
-            return 0
-        conn = self._conn()
         deleted = 0
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            for start in range(0, len(keys), 500):
-                chunk = keys[start : start + 500]
-                placeholders = ",".join("?" * len(chunk))
-                deleted += conn.execute(
-                    f"DELETE FROM results WHERE key IN ({placeholders})",
-                    chunk,
-                ).rowcount
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        if deleted:
-            conn.execute("VACUUM")
-        return int(deleted)
+        for shard, group in self._group_keys(keys):
+            with shard._transaction() as conn:
+                count = sum(
+                    conn.execute(
+                        f"DELETE FROM results WHERE key IN ({placeholders})",
+                        chunk,
+                    ).rowcount
+                    for placeholders, chunk in _in_chunks(group)
+                )
+            if count:
+                conn.execute("VACUUM")
+            deleted += count
+        return deleted
 
     def _active_job_keys(self) -> Dict[str, List[str]]:
         """Result keys active (queued/running) jobs derive progress from.
@@ -1065,25 +1207,16 @@ class ResultStore:
         journal does not exist yet protect nothing -- there is nothing
         stored to lose.
         """
-        conn = self._conn()
         protected: Dict[str, List[str]] = {}
-        for job_id, kind, name in conn.execute(
+        for job_id, kind, name in self._conn().execute(
             "SELECT id, kind, name FROM jobs "
             "WHERE status IN ('queued', 'running')"
         ).fetchall():
             if kind == "study":
-                row = conn.execute(
-                    "SELECT keys FROM studies WHERE name=?", (name,)
-                ).fetchone()
-                keys = json.loads(row[0]) if row is not None else []
+                study = self.get_study(name)
+                keys = study.keys if study is not None else []
             else:
-                keys = [
-                    r[0]
-                    for r in conn.execute(
-                        "SELECT key FROM campaign_scenarios WHERE campaign=?",
-                        (name,),
-                    )
-                ]
+                keys = [key for key, _ in self.campaign_rows(name)]
             for key in keys:
                 protected.setdefault(key, []).append(job_id)
         return protected

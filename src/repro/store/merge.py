@@ -23,7 +23,6 @@ which heartbeat) is meaningful only inside one deployment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
@@ -162,8 +161,8 @@ def merge_stores(
         )
         campaigns = studies = shared_campaigns = shared_studies = 0
         if journals:
-            campaigns, shared_campaigns = _merge_campaigns(dest, source)
-            studies, shared_studies = _merge_studies(dest, source)
+            campaigns, shared_campaigns, _ = _merge_campaigns(dest, source)
+            studies, shared_studies, _ = _merge_studies(dest, source)
         sp.annotate(imported=imported, identical=identical)
     return MergeReport(
         source=source_label,
@@ -208,9 +207,11 @@ def _dry_run_report(
     campaigns = studies = shared_campaigns = shared_studies = 0
     journal_conflicts = []
     if journals:
-        campaigns, shared_campaigns, bad = _diff_campaigns(dest, source)
+        campaigns, shared_campaigns, bad = _merge_campaigns(
+            dest, source, dry_run=True
+        )
         journal_conflicts.extend(f"campaign {name!r}" for name in bad)
-        studies, shared_studies, bad = _diff_studies(dest, source)
+        studies, shared_studies, bad = _merge_studies(dest, source, dry_run=True)
         journal_conflicts.extend(f"study {name!r}" for name in bad)
     return MergeReport(
         source=_store_label(source),
@@ -227,167 +228,89 @@ def _dry_run_report(
     )
 
 
-def _diff_campaigns(
-    dest: ResultStore, source: ResultStore
-) -> Tuple[int, int, Tuple[str, ...]]:
-    """(would import, shared, conflicting) campaign journal names."""
-    src_conn = source._conn()
-    dest_conn = dest._conn()
-    imported = shared = 0
-    conflicting = []
-    for (name,) in src_conn.execute(
-        "SELECT name FROM campaigns ORDER BY name"
-    ).fetchall():
-        held = dest_conn.execute(
-            "SELECT 1 FROM campaigns WHERE name=?", (name,)
-        ).fetchone()
-        if held is None:
-            imported += 1
-            continue
-        rows = [
-            tuple(r)
-            for r in src_conn.execute(
-                "SELECT idx, key, scenario FROM campaign_scenarios "
-                "WHERE campaign=? ORDER BY idx",
-                (name,),
-            )
-        ]
-        journaled = [
-            tuple(r)
-            for r in dest_conn.execute(
-                "SELECT idx, key, scenario FROM campaign_scenarios "
-                "WHERE campaign=? ORDER BY idx",
-                (name,),
-            )
-        ]
-        if journaled == rows:
-            shared += 1
-        else:
-            conflicting.append(name)
-    return imported, shared, tuple(conflicting)
-
-
-def _diff_studies(
-    dest: ResultStore, source: ResultStore
-) -> Tuple[int, int, Tuple[str, ...]]:
-    """(would import, shared, conflicting) study journal names."""
-    src_conn = source._conn()
-    dest_conn = dest._conn()
-    imported = shared = 0
-    conflicting = []
-    for name, spec_key, keys_doc in src_conn.execute(
-        "SELECT name, spec_key, keys FROM studies ORDER BY name"
-    ).fetchall():
-        held = dest_conn.execute(
-            "SELECT spec_key, keys FROM studies WHERE name=?", (name,)
-        ).fetchone()
-        if held is None:
-            imported += 1
-        elif (held[0], json.loads(held[1])) == (spec_key, json.loads(keys_doc)):
-            shared += 1
-        else:
-            conflicting.append(name)
-    return imported, shared, tuple(conflicting)
-
-
 def _store_label(store: ResultStore) -> str:
     return str(getattr(store, "root", store.path))
 
 
 def _merge_campaigns(
-    dest: ResultStore, source: ResultStore
-) -> Tuple[int, int]:
-    """Copy campaign journals ``source`` has and ``dest`` lacks."""
+    dest: ResultStore, source: ResultStore, dry_run: bool = False
+) -> Tuple[int, int, Tuple[str, ...]]:
+    """Copy campaign journals ``source`` has and ``dest`` lacks.
+
+    Returns ``(imported, shared, conflicting names)``.  A name both
+    stores journal must hold the same ordered scenario rows; a real
+    merge raises :class:`StoreError` at the first that does not, a dry
+    run collects them (and writes nothing).  Copies keep the source's
+    ``source`` label and creation stamps, so merged journals are
+    byte-identical.
+    """
     imported = shared = 0
-    src_conn = source._conn()
-    for name, src, total, created_at, created_unix in src_conn.execute(
-        "SELECT name, source, total, created_at, created_unix "
-        "FROM campaigns ORDER BY name"
-    ).fetchall():
-        rows = src_conn.execute(
-            "SELECT idx, key, scenario FROM campaign_scenarios "
-            "WHERE campaign=? ORDER BY idx",
-            (name,),
-        ).fetchall()
-        conn = dest._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            existing = conn.execute(
-                "SELECT 1 FROM campaigns WHERE name=?", (name,)
-            ).fetchone()
-            if existing is None:
-                conn.execute(
-                    "INSERT INTO campaigns(name, source, total, created_at, "
-                    "created_unix) VALUES (?, ?, ?, ?, ?)",
-                    (name, src, total, created_at, created_unix),
-                )
-                conn.executemany(
-                    "INSERT INTO campaign_scenarios(campaign, idx, key, "
-                    "scenario) VALUES (?, ?, ?, ?)",
-                    [(name, idx, key, doc) for idx, key, doc in rows],
-                )
-                imported += 1
-                journaled = None
-            else:
-                journaled = conn.execute(
-                    "SELECT idx, key, scenario FROM campaign_scenarios "
-                    "WHERE campaign=? ORDER BY idx",
-                    (name,),
-                ).fetchall()
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        if journaled is not None:
-            if [tuple(r) for r in journaled] != [tuple(r) for r in rows]:
-                raise StoreError(
-                    f"campaign {name!r} exists in both "
-                    f"{_store_label(dest)} and {_store_label(source)} "
-                    f"with different journaled scenarios; rename one "
-                    f"before merging"
-                )
+    conflicting = []
+    for name in source.campaign_names():
+        rows = source.campaign_rows(name)
+        if dry_run:
+            fresh = dest.get_campaign(name) is None
+        else:
+            journal = source.get_campaign(name)
+            fresh = dest.put_campaign(
+                name,
+                journal.source,
+                rows,
+                created_at=journal.created_at,
+                created_unix=journal.created_unix,
+            )
+        if fresh:
+            imported += 1
+        elif dest.campaign_rows(name) == rows:
             shared += 1
-    return imported, shared
+        elif dry_run:
+            conflicting.append(name)
+        else:
+            raise StoreError(
+                f"campaign {name!r} exists in both "
+                f"{_store_label(dest)} and {_store_label(source)} "
+                f"with different journaled scenarios; rename one "
+                f"before merging"
+            )
+    return imported, shared, tuple(conflicting)
 
 
-def _merge_studies(dest: ResultStore, source: ResultStore) -> Tuple[int, int]:
-    """Copy study journals ``source`` has and ``dest`` lacks."""
+def _merge_studies(
+    dest: ResultStore, source: ResultStore, dry_run: bool = False
+) -> Tuple[int, int, Tuple[str, ...]]:
+    """Copy study journals ``source`` has and ``dest`` lacks.
+
+    Same contract as :func:`_merge_campaigns`; a shared name must
+    journal the same ``spec_key`` and simulation keys.
+    """
     imported = shared = 0
-    src_conn = source._conn()
-    columns = (
-        "name, spec, spec_key, design_name, points, keys, total, "
-        "created_at, created_unix"
-    )
-    for row in src_conn.execute(
-        f"SELECT {columns} FROM studies ORDER BY name"
-    ).fetchall():
-        name, spec_key, keys_doc = row[0], row[2], row[5]
-        conn = dest._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            existing = conn.execute(
-                "SELECT spec_key, keys FROM studies WHERE name=?", (name,)
-            ).fetchone()
-            if existing is None:
-                conn.execute(
-                    f"INSERT INTO studies({columns}) "
-                    f"VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    tuple(row),
-                )
-                imported += 1
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        if existing is not None:
-            if (existing[0], json.loads(existing[1])) != (
-                spec_key,
-                json.loads(keys_doc),
-            ):
-                raise StoreError(
-                    f"study {name!r} exists in both {_store_label(dest)} "
-                    f"and {_store_label(source)} with a different spec or "
-                    f"design; rename one before merging"
-                )
+    conflicting = []
+    for study in source.studies():
+        if dry_run:
+            fresh = dest.get_study(study.name) is None
+        else:
+            fresh = dest.put_study(
+                study.name,
+                study.spec,
+                study.spec_key,
+                study.design_name,
+                study.points,
+                study.keys,
+                created_at=study.created_at,
+                created_unix=study.created_unix,
+            )
+        if fresh:
+            imported += 1
+            continue
+        held = dest.get_study(study.name)
+        if (held.spec_key, held.keys) == (study.spec_key, study.keys):
             shared += 1
-    return imported, shared
+        elif dry_run:
+            conflicting.append(study.name)
+        else:
+            raise StoreError(
+                f"study {study.name!r} exists in both {_store_label(dest)} "
+                f"and {_store_label(source)} with a different spec or "
+                f"design; rename one before merging"
+            )
+    return imported, shared, tuple(conflicting)

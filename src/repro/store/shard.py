@@ -8,13 +8,20 @@ campaigns, studies, the job queue and the HTTP service -- works unchanged.
 Why shard at all: SQLite allows one writer per *file*.  A single store
 file caps aggregate write throughput at one writer's speed no matter how
 many processes fan out over it; N shard files are N independent writers.
-BENCH_shard quantifies the win (~Nx aggregate write capacity).
+BENCH_shard *models* the win (~Nx aggregate write capacity): its number
+is the sum of per-shard intake rates, not a measured concurrent wall.
+
+The class only routes: every result-row operation lives once in
+:class:`~repro.store.db.ResultStore` and reaches rows through the
+``_shard_for``/``_shard_files`` hooks this class overrides.  Beyond
+them it owns only the layout, ``close``, pickling, ``repr`` and labels.
 
 Layout
 ------
-- **Result rows** route by cache-key prefix: ``int(key[:8], 16) % N``.
-  The key is a SHA-256 hex digest, so the prefix is uniform and every
-  process computes the same route with no coordination.
+- **Result rows** route by cache-key prefix: ``int(key[:8], 16) % N``
+  (:func:`~repro.store.db.shard_index`).  The key is a SHA-256 hex
+  digest, so the prefix is uniform and every process computes the same
+  route with no coordination.
 - **Shard 0 is the meta shard.**  The campaign/study journals and the
   ``jobs`` table -- small, coordination-shaped tables -- stay in
   ``shard-00.db``, served by the inherited connection machinery (the
@@ -33,16 +40,14 @@ shards back).
 
 from __future__ import annotations
 
-import zlib
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
-from repro.errors import ConfigError, StoreError
+from repro.errors import ConfigError
 from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
-from repro.scenario import Scenario
-from repro.store.db import ResultStore, StoredResult, StoreStats
-from repro.system.result import SystemResult
+from repro.store.db import ResultStore, StoreStats, _on_disk, shard_index
 
 #: Per-shard routing telemetry: one count per routed result operation,
 #: labelled with the shard index the key resolved to (balance check).
@@ -68,20 +73,6 @@ def shard_file_name(index: int) -> str:
     return f"shard-{index:02d}.db"
 
 
-def shard_index(key: str, n_shards: int) -> int:
-    """Which shard a content key routes to.
-
-    Keys are SHA-256 hex digests, so the first 8 hex digits are a
-    uniform 32-bit integer; arbitrary non-hex keys fall back to CRC-32
-    of the text so lookups never crash on garbage input.
-    """
-    try:
-        prefix = int(key[:8], 16)
-    except ValueError:
-        prefix = zlib.crc32(key.encode("utf-8"))
-    return prefix % n_shards
-
-
 class ShardedResultStore(ResultStore):
     """A result store spread over N per-shard SQLite files.
 
@@ -100,20 +91,14 @@ class ShardedResultStore(ResultStore):
     """
 
     def __init__(self, root: Union[str, Path], shards: Optional[int] = None):
-        text = str(root)
-        if text == ":memory:" or text.startswith("file::memory:"):
-            raise ConfigError(
-                "the result store must live on disk (an in-memory store "
-                "would give every worker its own empty database)"
-            )
-        self.root = Path(text)
+        self.root = _on_disk(root)
         if shards is not None and not (1 <= int(shards) <= MAX_SHARDS):
             raise ConfigError(
                 f"shard count must be in 1..{MAX_SHARDS}, got {shards}"
             )
         if self.root.exists() and not self.root.is_dir():
             raise ConfigError(
-                f"sharded store root {text!r} exists but is not a directory "
+                f"sharded store root {str(self.root)!r} exists but is not a directory "
                 f"(a plain single-file store? open it with ResultStore)"
             )
         if not self.root.exists():
@@ -125,16 +110,18 @@ class ShardedResultStore(ResultStore):
         creating = not (self.root / shard_file_name(0)).exists()
         if creating and any(self.root.iterdir()):
             raise ConfigError(
-                f"directory {text!r} is not empty and holds no "
+                f"directory {str(self.root)!r} is not empty and holds no "
                 f"{shard_file_name(0)}; refusing to scatter shards into it"
             )
-        # Shard 0 is the meta shard: the inherited machinery (journals,
-        # jobs, schema/meta) operates on it via self.path/_conn().
+        # Shards 1..N-1 only: this object is shard 0 (the meta shard the
+        # inherited machinery -- journals, jobs, schema/meta -- operates
+        # on via self.path/_conn()), and holding itself would be a
+        # reference cycle that defeats close-on-drop.
+        self._shards: List[ResultStore] = []
         super().__init__(self.root / shard_file_name(0))
         self.n_shards = self._resolve_shard_count(
             None if shards is None else int(shards), creating
         )
-        self._shards: List[ResultStore] = [self]
         for index in range(1, self.n_shards):
             shard = ResultStore(self.root / shard_file_name(index))
             self._mark_shard(shard, index)
@@ -148,15 +135,12 @@ class ShardedResultStore(ResultStore):
     def _resolve_shard_count(
         self, requested: Optional[int], creating: bool
     ) -> int:
-        conn = self._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as conn:
             row = conn.execute(
                 "SELECT value FROM store_meta WHERE key='shards'"
             ).fetchone()
             if row is None:
                 if not creating:
-                    conn.execute("ROLLBACK")
                     raise ConfigError(
                         f"{self.path} is a plain single-file store, not a "
                         f"sharded store's meta shard (no shard count recorded)"
@@ -168,11 +152,6 @@ class ShardedResultStore(ResultStore):
                 )
             else:
                 count = int(row[0])
-            conn.execute("COMMIT")
-        except BaseException:
-            if conn.in_transaction:
-                conn.execute("ROLLBACK")
-            raise
         if requested is not None and requested != count:
             raise ConfigError(
                 f"sharded store {self.root} has {count} shard(s), "
@@ -182,41 +161,34 @@ class ShardedResultStore(ResultStore):
 
     def _mark_shard(self, shard: ResultStore, index: int) -> None:
         """Make each shard file self-describing (index + total)."""
-        conn = shard._conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with shard._transaction() as conn:
             conn.execute(
                 "INSERT OR IGNORE INTO store_meta(key, value) "
                 "VALUES ('shard_index', ?), ('shards', ?)",
                 (str(index), str(self.n_shards)),
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     def shard_paths(self) -> List[Path]:
         """Every shard file, in shard order."""
-        return [shard.path for shard in self._shards]
+        return [shard.path for shard in self._shard_files()]
+
+    # -- routing hooks -----------------------------------------------------------
+
+    def _shard_files(self) -> List[ResultStore]:
+        return [self, *self._shards]
 
     def _shard_for(self, key: str) -> ResultStore:
         index = shard_index(key, self.n_shards)
         if _OBS.metrics_on:
             _SHARD_ROUTE.inc(shard=str(index))
-        return self._shards[index]
-
-    def _group_keys(self, keys: List[str]) -> Dict[int, List[str]]:
-        grouped: Dict[int, List[str]] = {}
-        for key in keys:
-            grouped.setdefault(shard_index(key, self.n_shards), []).append(key)
-        return grouped
+        return self._shard_files()[index]
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        for shard in self._shards[1:]:
+        for shard in self._shards:
             shard.close()
-        ResultStore.close(self)
+        super().close()
 
     def __getstate__(self) -> dict:
         return {"root": self.root, "shards": self.n_shards}
@@ -227,203 +199,10 @@ class ShardedResultStore(ResultStore):
     def __repr__(self) -> str:
         return f"ShardedResultStore({str(self.root)!r}, shards={self.n_shards})"
 
-    # -- routed result access ----------------------------------------------------
-
-    def put(
-        self,
-        scenario: Scenario,
-        result: SystemResult,
-        wall_time_s: float = 0.0,
-    ) -> bool:
-        shard = self._shard_for(scenario.cache_key())
-        if shard is self:
-            return ResultStore.put(self, scenario, result, wall_time_s)
-        return shard.put(scenario, result, wall_time_s)
-
-    def put_raw(self, row: Tuple, source: str = "") -> bool:
-        shard = self._shard_for(str(row[0]) if row else "")
-        if shard is self:
-            return ResultStore.put_raw(self, row, source)
-        return shard.put_raw(row, source)
-
-    def get(self, scenario_or_key: Union[Scenario, str]) -> Optional[SystemResult]:
-        key = self._key_of(scenario_or_key)
-        shard = self._shard_for(key)
-        if shard is self:
-            return ResultStore.get(self, key)
-        return shard.get(key)
-
-    def get_payload_text(
-        self, scenario_or_key: Union[Scenario, str]
-    ) -> Optional[str]:
-        key = self._key_of(scenario_or_key)
-        shard = self._shard_for(key)
-        if shard is self:
-            return ResultStore.get_payload_text(self, key)
-        return shard.get_payload_text(key)
-
-    def get_raw(self, scenario_or_key: Union[Scenario, str]) -> Optional[Tuple]:
-        key = self._key_of(scenario_or_key)
-        shard = self._shard_for(key)
-        if shard is self:
-            return ResultStore.get_raw(self, key)
-        return shard.get_raw(key)
-
-    def get_scenario(
-        self, scenario_or_key: Union[Scenario, str]
-    ) -> Optional[Scenario]:
-        key = self._key_of(scenario_or_key)
-        shard = self._shard_for(key)
-        if shard is self:
-            return ResultStore.get_scenario(self, key)
-        return shard.get_scenario(key)
-
-    def __contains__(self, scenario_or_key: Union[Scenario, str]) -> bool:
-        key = self._key_of(scenario_or_key)
-        shard = self._shard_for(key)
-        if shard is self:
-            return ResultStore.__contains__(self, key)
-        return key in shard
-
-    # -- fanned-out result access ------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(
-            ResultStore.__len__(s) if s is self else len(s)
-            for s in self._shards
-        )
-
-    def count_keys(self, keys: List[str]) -> int:
-        total = 0
-        for index, group in self._group_keys(keys).items():
-            shard = self._shards[index]
-            if shard is self:
-                total += ResultStore.count_keys(self, group)
-            else:
-                total += shard.count_keys(group)
-        return total
-
-    def have_keys(self, keys: List[str]) -> set:
-        present: set = set()
-        for index, group in self._group_keys(keys).items():
-            shard = self._shards[index]
-            if shard is self:
-                present |= ResultStore.have_keys(self, group)
-            else:
-                present |= shard.have_keys(group)
-        return present
-
-    def keys(self) -> List[str]:
-        merged: List[str] = []
-        for shard in self._shards:
-            merged.extend(
-                ResultStore.keys(shard) if shard is self else shard.keys()
-            )
-        merged.sort()
-        return merged
-
-    def iter_raw(self) -> Iterator[Tuple]:
-        for shard in self._shards:
-            iterator = (
-                ResultStore.iter_raw(shard)
-                if shard is self
-                else shard.iter_raw()
-            )
-            for row in iterator:
-                yield row
-
-    def query(self, **filters) -> List[StoredResult]:
-        rows: List[StoredResult] = []
-        limit = filters.get("limit")
-        for shard in self._shards:
-            if shard is self:
-                rows.extend(ResultStore.query(self, **filters))
-            else:
-                rows.extend(shard.query(**filters))
-        # Re-establish the store-wide deterministic order (ISO-8601
-        # timestamps in one timezone sort lexically), then re-apply the
-        # limit that each shard applied only locally.
-        rows.sort(key=lambda row: (row.created_at, row.key))
-        if limit is not None:
-            rows = rows[: int(limit)]
-        return rows
-
     # -- maintenance -------------------------------------------------------------
 
     def stats(self) -> StoreStats:
-        per_shard = [
-            ResultStore.stats(s) if s is self else s.stats()
-            for s in self._shards
-        ]
-        meta = per_shard[0]
-
-        def _merge_counts(
-            pairs: List[Tuple[Tuple[str, int], ...]]
-        ) -> Tuple[Tuple[str, int], ...]:
-            merged: Dict[str, int] = {}
-            for group in pairs:
-                for label, count in group:
-                    merged[label] = merged.get(label, 0) + count
-            return tuple(sorted(merged.items()))
-
-        return StoreStats(
-            path=str(self.root),
-            n_results=sum(s.n_results for s in per_shard),
-            n_campaigns=meta.n_campaigns,
-            by_backend=_merge_counts([s.by_backend for s in per_shard]),
-            by_family=_merge_counts([s.by_family for s in per_shard]),
-            payload_bytes=sum(s.payload_bytes for s in per_shard),
-            file_bytes=sum(s.file_bytes for s in per_shard),
-            total_wall_time_s=sum(s.total_wall_time_s for s in per_shard),
-            oldest=min(
-                (s.oldest for s in per_shard if s.oldest), default=None
-            ),
-            newest=max(
-                (s.newest for s in per_shard if s.newest), default=None
-            ),
-            by_job_status=meta.by_job_status,  # jobs live in the meta shard
-            n_shards=self.n_shards,
-        )
-
-    def _gc_candidates(
-        self,
-        older_than_days: Optional[float],
-        family: Optional[str],
-        orphans: bool,
-    ) -> List[str]:
-        # The orphans selector references the campaign journal, which
-        # lives only in the meta shard -- the per-shard SQL subquery
-        # would call every row in shards 1..N-1 an orphan.  Collect the
-        # journal's keys once, then filter each shard's time/family
-        # matches against it.
-        referenced: Optional[set] = None
-        if orphans:
-            referenced = {
-                row[0]
-                for row in self._conn().execute(
-                    "SELECT key FROM campaign_scenarios"
-                )
-            }
-        candidates: List[str] = []
-        for shard in self._shards:
-            candidates.extend(
-                ResultStore._gc_candidates(shard, older_than_days, family, False)
-                if shard is self
-                else shard._gc_candidates(older_than_days, family, False)
-            )
-        if referenced is not None:
-            candidates = [key for key in candidates if key not in referenced]
-        return candidates
-
-    def _delete_keys(self, keys: List[str]) -> int:
-        deleted = 0
-        for index, group in self._group_keys(keys).items():
-            shard = self._shards[index]
-            if shard is self:
-                deleted += ResultStore._delete_keys(self, group)
-            else:
-                deleted += shard._delete_keys(group)
-        return deleted
+        return replace(super().stats(), path=str(self.root), n_shards=self.n_shards)
 
 
 def open_store(

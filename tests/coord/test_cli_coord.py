@@ -185,11 +185,4 @@ def test_sigkill_mid_campaign_recovers_on_survivor(tmp_path):
     for key in reference.keys():
         assert local.get_payload_text(key) == reference.get_payload_text(key)
         assert local.get_scenario(key) == reference.get_scenario(key)
-    journal_sql = (
-        "SELECT idx, key, scenario FROM campaign_scenarios "
-        "WHERE campaign=? ORDER BY idx"
-    )
-    assert (
-        local._conn().execute(journal_sql, (coord.name,)).fetchall()
-        == reference._conn().execute(journal_sql, (coord.name,)).fetchall()
-    )
+    assert local.campaign_rows(coord.name) == reference.campaign_rows(coord.name)

@@ -83,14 +83,7 @@ def _assert_stores_identical(local, reference, name):
     for key in reference.keys():
         assert local.get_payload_text(key) == reference.get_payload_text(key)
         assert local.get_scenario(key) == reference.get_scenario(key)
-    journal_sql = (
-        "SELECT idx, key, scenario FROM campaign_scenarios "
-        "WHERE campaign=? ORDER BY idx"
-    )
-    assert (
-        local._conn().execute(journal_sql, (name,)).fetchall()
-        == reference._conn().execute(journal_sql, (name,)).fetchall()
-    )
+    assert local.campaign_rows(name) == reference.campaign_rows(name)
 
 
 # -- construction --------------------------------------------------------------

@@ -190,6 +190,37 @@ def test_sync_converges_both_stores(tmp_path):
     assert len(a) == 4
 
 
+@pytest.mark.parametrize("shape", ["plain", "sharded"])
+def test_merged_journals_keep_every_column(tmp_path, shape):
+    source = ResultStore(tmp_path / "source.db")
+    Campaign.create(
+        source, "camp", [s for s, _ in _pairs(3)], source="the source side"
+    )
+    source.put_study(
+        "st",
+        {"n": 1, "x": [0.1, 1e-07, 2.5e16, -0.0]},
+        "speckey",
+        "ccd",
+        [[0.0, -1.5, 1.0 / 3.0]],
+        ["k1", "k2"],
+    )
+    if shape == "plain":
+        dest = ResultStore(tmp_path / "dest.db")
+    else:
+        dest = ShardedResultStore(tmp_path / "dest.d", shards=3)
+    merge_stores(dest, source)
+    # Provenance included: source label, created_at and created_unix.
+    for table, order in (
+        ("campaigns", "name"),
+        ("campaign_scenarios", "campaign, idx"),
+        ("studies", "name"),
+    ):
+        sql = f"SELECT * FROM {table} ORDER BY {order}"
+        rows = source._conn().execute(sql).fetchall()
+        assert rows
+        assert dest._conn().execute(sql).fetchall() == rows, table
+
+
 # -- partitioning --------------------------------------------------------------
 
 

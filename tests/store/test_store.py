@@ -1,5 +1,11 @@
-"""ResultStore: content addressing, provenance, query/export/gc, tiers."""
+"""ResultStore: content addressing, provenance, query/export/gc, tiers.
 
+Every test taking the ``store`` or ``make_store`` fixture runs twice:
+on a plain single-file store, and (through :class:`TestShardedStore` at
+the end) on a 3-shard :class:`ShardedResultStore`.
+"""
+
+import inspect
 import json
 import pickle
 
@@ -8,7 +14,12 @@ import pytest
 from repro.core.batch import BatchRunner
 from repro.errors import ConfigError, DesignError
 from repro.scenario import PartsSpec, Scenario, named_scenario
-from repro.store import ResultStore, canonical_json, scenario_family
+from repro.store import (
+    ResultStore,
+    ShardedResultStore,
+    canonical_json,
+    scenario_family,
+)
 from repro.system.config import SystemConfig
 from repro.system.result import SystemResult
 
@@ -29,8 +40,14 @@ def _scenarios(n=4, horizon=90.0):
 
 
 @pytest.fixture
-def store(tmp_path):
-    return ResultStore(tmp_path / "results.db")
+def make_store(tmp_path):
+    """A builder, so a test can hold the only reference to its store."""
+    return lambda: ResultStore(tmp_path / "results.db")
+
+
+@pytest.fixture
+def store(make_store):
+    return make_store()
 
 
 def _run(scenario):
@@ -213,16 +230,25 @@ def test_rejects_future_layout(tmp_path):
         ResultStore(tmp_path / "s.db")
 
 
-def test_dropping_a_store_closes_its_connection(tmp_path):
+def test_dropping_a_store_closes_its_connection(make_store):
     # sqlite3 connections sit in reference cycles, so without an
-    # explicit close one would stay open until a collector pass.
+    # explicit close one would stay open until a collector pass.  The
+    # collector is off here, so only close-on-drop can close them --
+    # which a store holding a reference to itself would never reach.
+    # Built in the test: a ``store`` fixture would keep it alive.
+    import gc
     import sqlite3
 
-    store = ResultStore(tmp_path / "s.db")
-    conn = store._conn()
-    del store
-    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
-        conn.execute("SELECT 1")
+    store = make_store()
+    conns = [shard._conn() for shard in store._shard_files()]
+    gc.disable()
+    try:
+        del store
+        for conn in conns:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                conn.execute("SELECT 1")
+    finally:
+        gc.enable()
 
 
 def test_store_survives_pickling(store):
@@ -289,3 +315,25 @@ def test_wall_time_provenance_recorded(store):
     assert all(row.wall_time_s > 0.0 for row in rows)
     assert all(row.repro_version for row in rows)
     assert all(row.created_at for row in rows)
+
+
+# -- the same contract on a sharded store ---------------------------------------
+
+
+class TestShardedStore:
+    """Every store-fixture test above, on a 3-shard store.
+
+    This class's ``make_store`` overrides the module's plain one (and
+    with it ``store``); the plain-store test ids stay as they are.
+    """
+
+    @pytest.fixture
+    def make_store(self, tmp_path):
+        return lambda: ShardedResultStore(tmp_path / "results.d", shards=3)
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_") and {"store", "make_store"} & set(
+        inspect.signature(_test).parameters
+    ):
+        setattr(TestShardedStore, _name, staticmethod(_test))
