@@ -61,7 +61,7 @@ lazily (``import repro`` stays cheap)::
 import importlib
 from typing import List
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 #: Public name -> defining module.  Resolved on first attribute access so
 #: ``import repro`` pulls in nothing beyond this file.
@@ -82,6 +82,7 @@ _EXPORTS = {
     "named_family": "repro.system.stochastic",
     "family_names": "repro.system.stochastic",
     "manifest_scenarios": "repro.system.stochastic",
+    "manifest_name": "repro.system.stochastic",
     # backends (repro.backends)
     "Backend": "repro.backends",
     "run": "repro.backends",

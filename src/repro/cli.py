@@ -83,14 +83,41 @@ def _add_backend_jobs(
     parser.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
 
-def _add_store(parser: argparse.ArgumentParser) -> None:
+def _add_store(parser: argparse.ArgumentParser, required: bool = False) -> None:
     parser.add_argument(
         "--store",
         type=str,
         default=None,
+        required=required,
         metavar="DB",
-        help="persistent result store (SQLite file); hits skip simulation",
+        help="result store file"
+        if required
+        else "persistent result store (SQLite file); hits skip simulation",
     )
+
+
+def _add_save(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--save", type=str, default=None, help="persist outcome JSON here"
+    )
+
+
+def _add_status(sub, help: str, name_help: str) -> None:
+    status = sub.add_parser("status", help=help)
+    status.add_argument("name", type=str, nargs="?", default=None, help=name_help)
+    _add_store(status, required=True)
+
+
+def _read_json(path: str, what: str):
+    import json
+    from pathlib import Path
+
+    from repro.errors import DesignError
+
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DesignError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _open_store(path: str, shards=None):
@@ -213,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--runs", type=int, default=10, help="D-optimal design size")
     exp.add_argument("--seed", type=int, default=1)
     exp.add_argument("--horizon", type=float, default=3600.0)
-    exp.add_argument("--save", type=str, default=None, help="persist outcome JSON here")
+    _add_save(exp)
     exp.add_argument(
         "--design",
         type=str,
@@ -265,34 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="design points per durable chunk (default: max(4*jobs, 8))",
     )
-    stu_run.add_argument(
-        "--save", type=str, default=None, help="persist outcome JSON here"
-    )
+    _add_save(stu_run)
     _add_store(stu_run)
 
     stu_res = stu_sub.add_parser(
         "resume", help="continue an interrupted study"
     )
     stu_res.add_argument("name", type=str, help="journaled study name")
-    stu_res.add_argument(
-        "--store", type=str, required=True, metavar="DB", help="result store file"
-    )
+    _add_store(stu_res, required=True)
     stu_res.add_argument("--jobs", type=int, default=None)
-    stu_res.add_argument(
-        "--save", type=str, default=None, help="persist outcome JSON here"
-    )
+    _add_save(stu_res)
 
-    stu_st = stu_sub.add_parser("status", help="study progress")
-    stu_st.add_argument(
-        "name",
-        type=str,
-        nargs="?",
-        default=None,
-        help="study name (omit to list every study)",
-    )
-    stu_st.add_argument(
-        "--store", type=str, required=True, metavar="DB", help="result store file"
-    )
+    _add_status(stu_sub, "study progress", "study name (omit to list every study)")
 
     stu_tpl = stu_sub.add_parser(
         "template", help="print a starter spec (the paper study) as JSON"
@@ -439,9 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="journal a gen-scenarios manifest and execute it"
     )
     camp_run.add_argument("manifest", type=str, help="gen-scenarios manifest JSON")
-    camp_run.add_argument(
-        "--store", type=str, required=True, metavar="DB", help="result store file"
-    )
+    _add_store(camp_run, required=True)
     camp_run.add_argument(
         "--name",
         type=str,
@@ -478,30 +487,18 @@ def build_parser() -> argparse.ArgumentParser:
         "resume", help="continue an interrupted campaign"
     )
     camp_res.add_argument("name", type=str, help="campaign name")
-    camp_res.add_argument(
-        "--store", type=str, required=True, metavar="DB", help="result store file"
-    )
+    _add_store(camp_res, required=True)
     camp_res.add_argument("--jobs", type=int, default=1)
     camp_res.add_argument("--chunk", type=int, default=None)
 
-    camp_st = camp_sub.add_parser("status", help="campaign progress")
-    camp_st.add_argument(
-        "name",
-        type=str,
-        nargs="?",
-        default=None,
-        help="campaign name (omit to list every campaign)",
-    )
-    camp_st.add_argument(
-        "--store", type=str, required=True, metavar="DB", help="result store file"
+    _add_status(
+        camp_sub, "campaign progress", "campaign name (omit to list every campaign)"
     )
 
     srv = sub.add_parser(
         "serve", help="HTTP job API + worker pool over a result store"
     )
-    srv.add_argument(
-        "--store", type=str, required=True, metavar="DB", help="result store file"
-    )
+    _add_store(srv, required=True)
     srv.add_argument("--host", type=str, default="127.0.0.1")
     srv.add_argument(
         "--port", type=int, default=8080, help="listen port (0 picks a free one)"
@@ -659,16 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: wait for workers to come back)",
     )
 
-    crd_st = crd_sub.add_parser("status", help="coordinated-campaign progress")
-    crd_st.add_argument(
-        "name",
-        type=str,
-        nargs="?",
-        default=None,
-        help="coordinated campaign name (omit to list every run)",
-    )
-    crd_st.add_argument(
-        "--store", type=str, required=True, metavar="DB", help="result store file"
+    _add_status(
+        crd_sub,
+        "coordinated-campaign progress",
+        "coordinated campaign name (omit to list every run)",
     )
 
     ob = sub.add_parser(
@@ -882,9 +873,9 @@ def _cmd_gen_scenarios(args) -> int:
         print(text)
     if args.store:
         from repro.store import Campaign
-        from repro.system.stochastic import manifest_scenarios
+        from repro.system.stochastic import manifest_name, manifest_scenarios
 
-        name = args.campaign or f"{family.name}-n{args.n}-s{args.seed}"
+        name = args.campaign or manifest_name(manifest)
         campaign = Campaign.create(
             _open_store(args.store),
             name,
@@ -1052,15 +1043,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import json
-    from pathlib import Path
-
     from repro.errors import DesignError
 
-    try:
-        payload = json.loads(Path(args.path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DesignError(f"report file is not valid JSON: {exc}") from exc
+    payload = _read_json(args.path, "report file")
     if not isinstance(payload, dict):
         raise DesignError(
             f"report payload must be a JSON object, got {type(payload).__name__}"
@@ -1219,20 +1204,13 @@ def _cmd_campaign(args) -> int:
             return 2
     store = _open_store(args.store)
     if args.campaign_command == "run":
-        import json
-        from pathlib import Path
+        from repro.system.stochastic import manifest_name, manifest_scenarios
 
-        from repro.errors import DesignError
-        from repro.system.stochastic import manifest_scenarios
-
-        try:
-            payload = json.loads(Path(args.manifest).read_text())
-        except json.JSONDecodeError as exc:
-            raise DesignError(f"manifest is not valid JSON: {exc}") from exc
+        payload = _read_json(args.manifest, "manifest")
         scenarios = manifest_scenarios(payload)
-        name = args.name or (
-            f"{payload.get('family', 'manifest')}"
-            f"-n{payload.get('n', len(scenarios))}-s{payload.get('seed', 0)}"
+        name = args.name or manifest_name(payload) or (
+            f"manifest-n{payload.get('n', len(scenarios))}"
+            f"-s{payload.get('seed', 0)}"
         )
         if args.partitions is not None:
             # Distributed mode: this process owns one slice, written to
@@ -1413,15 +1391,7 @@ def _cmd_coord(args) -> int:
             print(coord_status(store, name).summary())
         return 0
     if args.coord_command == "run":
-        import json
-        from pathlib import Path
-
-        from repro.errors import DesignError
-
-        try:
-            payload = json.loads(Path(args.manifest).read_text())
-        except json.JSONDecodeError as exc:
-            raise DesignError(f"manifest is not valid JSON: {exc}") from exc
+        payload = _read_json(args.manifest, "manifest")
         workers = [u.strip() for u in args.workers.split(",") if u.strip()]
         options = {}
         if args.poll is not None:

@@ -58,7 +58,7 @@ from repro.store.campaign import (
 )
 from repro.store.db import ResultStore
 from repro.store.merge import import_raw_rows
-from repro.system.stochastic import manifest_scenarios
+from repro.system.stochastic import manifest_name, manifest_scenarios
 
 #: How often the run loop takes a step when nothing finished yet.
 DEFAULT_POLL_INTERVAL_S = 0.5
@@ -217,8 +217,9 @@ class Coordinator:
     workers:
         Base URLs of ``repro-wsn serve`` processes.
     name:
-        Campaign name; defaults like the job queue derives it
-        (``<family>-n<N>-s<seed>``), and must resolve non-empty.
+        Campaign name; defaults to
+        :func:`~repro.system.stochastic.manifest_name`, and must resolve
+        non-empty.
     partitions:
         Slice count; defaults to ``min(len(workers), len(scenarios))``.
     token:
@@ -268,13 +269,7 @@ class Coordinator:
         self.store = store
         self.manifest = dict(manifest)
         scenarios = manifest_scenarios(self.manifest)
-        default = (
-            f"{self.manifest['family']}-n{self.manifest.get('n', 1)}"
-            f"-s{self.manifest.get('seed', 0)}"
-            if self.manifest.get("family")
-            else ""
-        )
-        self.name = str(name or self.manifest.get("name") or default)
+        self.name = str(name or manifest_name(self.manifest) or "")
         if not self.name:
             raise ConfigError(
                 "the coordinated campaign needs a name (pass name=... or "

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import uuid
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from functools import cached_property
 from time import time as _wall_clock
 from typing import Dict, List, Optional, Tuple
@@ -45,7 +44,7 @@ from repro.errors import ConfigError, DesignError, ReproError
 from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.obs.trace import event
-from repro.store.db import ResultStore, canonical_json
+from repro.store.db import ResultStore, _utc_now, canonical_json
 
 #: Accepted job kinds, in routing order for payload sniffing.
 JOB_KINDS = ("scenario", "campaign", "study")
@@ -82,10 +81,6 @@ class JobCancelled(ReproError):
     durable chunk boundary; everything already written through to the
     store stays, so a later resubmission resumes instead of redoing.
     """
-
-
-def _utc_now() -> datetime:
-    return datetime.now(timezone.utc)
 
 
 def _new_job_id() -> str:
@@ -216,7 +211,7 @@ def validate_job(
     from repro.backends import get_backend
     from repro.core.study import StudySpec
     from repro.scenario import Scenario
-    from repro.system.stochastic import manifest_scenarios
+    from repro.system.stochastic import manifest_name, manifest_scenarios
 
     if not isinstance(payload, dict):
         raise DesignError(
@@ -236,13 +231,7 @@ def validate_job(
         scenarios = manifest_scenarios(payload)
         for backend in {s.backend for s in scenarios}:
             get_backend(backend)
-        default = (
-            f"{payload['family']}-n{payload.get('n', 1)}"
-            f"-s{payload.get('seed', 0)}"
-            if payload.get("family")
-            else ""
-        )
-        job_name = str(name or payload.get("name") or default)
+        job_name = str(name or manifest_name(payload) or "")
         total = len(scenarios)
         part = job_partition(payload, total)
         if part is not None:

@@ -447,6 +447,24 @@ def manifest_scenarios(payload: Mapping) -> List[Scenario]:
     return [Scenario.from_dict(entry) for entry in payload["scenarios"]]
 
 
+def manifest_name(payload: Mapping) -> Optional[str]:
+    """Default campaign name of a manifest, or ``None`` if it has none.
+
+    The manifest's own ``name`` wins; otherwise ``FAMILY-nN-sSEED`` with
+    the :meth:`ScenarioFamily.manifest` defaults (``n`` 1, ``seed`` 0).
+    The CLI, the job queue and the coordinator all name through here,
+    so one manifest journals under one name on every path.
+    """
+    if payload.get("name"):
+        return str(payload["name"])
+    if payload.get("family"):
+        return (
+            f"{payload['family']}-n{payload.get('n', 1)}"
+            f"-s{payload.get('seed', 0)}"
+        )
+    return None
+
+
 # -- named family library -----------------------------------------------------
 
 

@@ -287,3 +287,63 @@ def test_cli_store_sync(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("merged") == 2
     assert ResultStore(a).keys() == ResultStore(b).keys()
+
+
+def _floor_manifest(**edits):
+    from dataclasses import replace
+
+    from repro.system.stochastic import named_family
+
+    family = replace(named_family("factory-floor"), horizon=90.0)
+    manifest = family.manifest(n=2, seed=1)
+    for key, value in edits.items():
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "edits, expected",
+    [
+        ({}, "factory-floor-n2-s1"),
+        ({"n": None}, "factory-floor-n1-s1"),
+        ({"name": "floor-run"}, "floor-run"),
+    ],
+    ids=["generated", "no-n", "named"],
+)
+def test_one_default_campaign_name_per_manifest(tmp_path, capsys, edits, expected):
+    from repro.coord import Coordinator
+    from repro.service.jobs import validate_job
+
+    manifest = _floor_manifest(**edits)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    db = str(tmp_path / "cli.db")
+    assert main(["campaign", "run", str(path), "--store", db]) == 0
+    assert campaign_names(ResultStore(db)) == [expected]
+    assert validate_job(None, manifest)[1] == expected
+    coord_store = ResultStore(tmp_path / "coord.db")
+    assert Coordinator(coord_store, manifest, ["http://127.0.0.1:9"]).name == expected
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["campaign", "run", "BAD", "--store", "DB"], "manifest"),
+        (
+            ["coord", "run", "BAD", "--workers", "http://127.0.0.1:9",
+             "--store", "DB"],
+            "manifest",
+        ),
+        (["report", "BAD"], "report file"),
+    ],
+    ids=["campaign-run", "coord-run", "report"],
+)
+def test_invalid_json_is_an_error(tmp_path, capsys, argv, what):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    paths = {"BAD": str(bad), "DB": str(tmp_path / "x.db")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {what} is not valid JSON: ")
