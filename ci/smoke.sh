@@ -111,6 +111,11 @@ section_cli() {
   repro-wsn store stats results.db
   repro-wsn store export results.db --format csv --out export.csv
   repro-wsn store gc results.db --orphans
+  # A missing manifest is refused with exit 1 before any store is opened.
+  local code=0
+  repro-wsn campaign run missing.json --store refused.db 2> refused.err || code=$?
+  if [ "$code" -ne 1 ] || [ -e refused.db ]; then exit 1; fi
+  grep -q "error: cannot read manifest" refused.err
 }
 
 section_study() {

@@ -63,16 +63,7 @@ class EnvelopeBackend:
     def simulate(self, scenario: Scenario) -> SystemResult:
         from repro.system.envelope import EnvelopeSimulator
 
-        sim = _construct(
-            EnvelopeSimulator,
-            scenario,
-            scenario.config,
-            parts=scenario.build_parts(),
-            profile=scenario.profile,
-            seed=scenario.seed,
-            **dict(scenario.options),
-        )
-        return sim.run(scenario.horizon)
+        return _construct(EnvelopeSimulator, scenario).run(scenario.horizon)
 
 
 class DetailedBackend:
@@ -83,15 +74,7 @@ class DetailedBackend:
     def simulate(self, scenario: Scenario) -> SystemResult:
         from repro.system.detailed import DetailedSimulator
 
-        sim = _construct(
-            DetailedSimulator,
-            scenario,
-            scenario.config,
-            parts=scenario.build_parts(),
-            profile=scenario.profile,
-            seed=scenario.seed,
-            **dict(scenario.options),
-        )
+        sim = _construct(DetailedSimulator, scenario)
         return sim.run(scenario.horizon).to_system_result()
 
 
@@ -123,10 +106,21 @@ class VectorizedBackend:
         return simulate_batch(scenarios)
 
 
-def _construct(cls, scenario: Scenario, *args, **kwargs):
-    """Instantiate a simulator, turning bad options into ConfigError."""
+def _construct(cls, scenario: Scenario):
+    """Build simulator ``cls`` for ``scenario``, bad options as ConfigError.
+
+    Every backend builds its simulators here.  A scenario without parts
+    gets the simulator's default :func:`~repro.system.components.paper_system`.
+    """
+    parts = scenario.build_parts()
     try:
-        return cls(*args, **kwargs)
+        return cls(
+            scenario.config,
+            parts=parts,
+            profile=scenario.profile,
+            seed=scenario.seed,
+            **dict(scenario.options),
+        )
     except TypeError as exc:
         raise ConfigError(
             f"backend {scenario.backend!r} rejected scenario options "

@@ -115,7 +115,11 @@ def _read_json(path: str, what: str):
     from repro.errors import DesignError
 
     try:
-        return json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DesignError(f"cannot read {what}: {exc}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DesignError(f"{what} is not valid JSON: {exc}") from exc
 
@@ -774,12 +778,10 @@ def _run_manifest(args, payload) -> int:
 
 
 def _cmd_run_scenario(args) -> int:
-    import json
     from dataclasses import replace
     from pathlib import Path
 
     from repro.backends import run
-    from repro.errors import DesignError
     from repro.scenario import Scenario, named_scenario, scenario_names
     from repro.system.stochastic import family_names, named_family
 
@@ -802,15 +804,7 @@ def _cmd_run_scenario(args) -> int:
     # (so a mistyped filename errors as a missing file, not a bad name).
     looks_like_file = path.suffix == ".json" or len(path.parts) > 1
     if path.exists() or looks_like_file:
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
-            return 1
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DesignError(f"scenario file is not valid JSON: {exc}") from exc
+        payload = _read_json(args.path, "scenario file")
         if isinstance(payload, dict) and "scenarios" in payload:
             return _run_manifest(args, payload)
         scenario = Scenario.from_dict(payload)
@@ -1184,8 +1178,11 @@ def _cmd_store(args) -> int:
 def _cmd_campaign(args) -> int:
     from repro.store import Campaign, campaign_statuses
 
-    # Flag errors come first, so a refused command writes nothing.
+    # Flag and manifest errors come first, so a refused command writes
+    # nothing.
     if args.campaign_command == "run":
+        from repro.system.stochastic import manifest_name, manifest_scenarios
+
         error = None
         if args.partition is not None and args.partitions is None:
             error = "--partition needs --partitions (the total N)"
@@ -1202,16 +1199,14 @@ def _cmd_campaign(args) -> int:
         if error is not None:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    store = _open_store(args.store)
-    if args.campaign_command == "run":
-        from repro.system.stochastic import manifest_name, manifest_scenarios
-
         payload = _read_json(args.manifest, "manifest")
         scenarios = manifest_scenarios(payload)
         name = args.name or manifest_name(payload) or (
             f"manifest-n{payload.get('n', len(scenarios))}"
             f"-s{payload.get('seed', 0)}"
         )
+    store = _open_store(args.store)
+    if args.campaign_command == "run":
         if args.partitions is not None:
             # Distributed mode: this process owns one slice, written to
             # its own --store; 'store merge' reconstitutes the whole.
@@ -1379,6 +1374,9 @@ def _cmd_serve(args) -> int:
 def _cmd_coord(args) -> int:
     from repro.coord import Coordinator, coord_names, coord_status
 
+    if args.coord_command == "run":
+        # Read the manifest first, so an unreadable one creates no store.
+        payload = _read_json(args.manifest, "manifest")
     store = _open_store(args.store)
     if args.coord_command == "status":
         if args.name is not None:
@@ -1391,7 +1389,6 @@ def _cmd_coord(args) -> int:
             print(coord_status(store, name).summary())
         return 0
     if args.coord_command == "run":
-        payload = _read_json(args.manifest, "manifest")
         workers = [u.strip() for u in args.workers.split(",") if u.strip()]
         options = {}
         if args.poll is not None:

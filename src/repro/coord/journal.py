@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from time import time as _wall_clock
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ConfigError
-from repro.store.db import ResultStore, canonical_json
+from repro.store.db import ResultStore, _utc_now, canonical_json
 
 #: Every state one partition of a coordinated campaign can be in.
 #: ``queued -> running -> done -> merged`` is the happy path; ``lost``
@@ -100,7 +99,7 @@ class CoordJournal:
         if partitions < 1:
             raise ConfigError("partition count must be >= 1")
         manifest_doc = canonical_json(manifest)
-        now = datetime.now(timezone.utc)
+        now = _utc_now()
         with self.store._transaction() as conn:
             existing = conn.execute(
                 "SELECT manifest, partitions FROM coord_runs WHERE name=?",

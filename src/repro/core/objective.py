@@ -46,6 +46,10 @@ METRICS: Dict[str, Callable[[SystemResult], float]] = {
 }
 
 
+#: Decimals the coded point is rounded to for the memo key.
+CACHE_DECIMALS = 9
+
+
 def metric_names() -> "list[str]":
     """Names accepted by ``SimulationObjective(metric=...)``."""
     return sorted(METRICS)
@@ -65,9 +69,9 @@ class SimulationObjective:
 
     Parameters
     ----------
-    space, horizon, seed, cache_decimals:
-        As before (coded box, simulated seconds, common-random-numbers
-        base seed, memo-key rounding).
+    space, horizon, seed:
+        The coded box, simulated seconds and common-random-numbers base
+        seed.
     profile_factory:
         Zero-argument callable returning the excitation profile for each
         evaluation (default: the paper profile).
@@ -102,7 +106,6 @@ class SimulationObjective:
         seed: int = 0,
         profile_factory: Optional[Callable[[], VibrationProfile]] = None,
         parts_factory: Optional[Callable[[], object]] = None,
-        cache_decimals: int = 9,
         parts: Optional[PartsSpec] = None,
         backend: str = "envelope",
         jobs: int = 1,
@@ -119,7 +122,6 @@ class SimulationObjective:
         self.seed = seed
         self.profile_factory = profile_factory or VibrationProfile.paper_profile
         self.parts_factory = parts_factory or paper_system
-        self.cache_decimals = cache_decimals
         self.parts_spec = parts
         self.backend = backend
         self.jobs = int(jobs)
@@ -214,7 +216,7 @@ class SimulationObjective:
 
     def _key(self, coded: np.ndarray) -> Tuple[float, ...]:
         return tuple(
-            np.round(np.asarray(coded, dtype=float), self.cache_decimals)
+            np.round(np.asarray(coded, dtype=float), CACHE_DECIMALS)
         )
 
     def cache_size(self) -> int:

@@ -41,8 +41,10 @@ class PartsSpec:
 
     A scenario cannot carry a live :class:`SystemParts` (parts are mutable
     and stateful -- the actuator moves during a run), so it carries this
-    spec instead and every backend builds *fresh* parts per run.  The
-    defaults reproduce ``paper_system()`` exactly.
+    spec instead and every backend builds *fresh* mutable parts (actuator,
+    store, node) per run; the immutable physics (tuning map and LUT) is
+    the one pair :func:`paper_system` shares per process.  The defaults
+    reproduce ``paper_system()`` exactly.
     """
 
     v_init: float = 2.65

@@ -66,7 +66,6 @@ def execute_job(
     *,
     jobs: int = 1,
     chunk_size: Optional[int] = None,
-    executor: str = "process",
     on_chunk=None,
 ) -> None:
     """Run one claimed job through the campaign/study machinery.
@@ -109,9 +108,7 @@ def execute_job(
         source=f"job {job.id}",
         exist_ok=True,
     )
-    campaign.run(
-        jobs=jobs, chunk_size=chunk_size, executor=executor, on_chunk=on_chunk
-    )
+    campaign.run(jobs=jobs, chunk_size=chunk_size, on_chunk=on_chunk)
 
 
 class WorkerPool:
@@ -138,7 +135,7 @@ class WorkerPool:
         Claims with heartbeats older than this are considered orphaned
         and requeued (each worker sweeps opportunistically); the pulse
         thread refreshes busy claims at a quarter of this cadence.
-    chunk_size, executor:
+    chunk_size:
         Passed through to campaign/study execution.
     """
 
@@ -150,7 +147,6 @@ class WorkerPool:
         poll_interval: float = 0.5,
         heartbeat_timeout: float = 60.0,
         chunk_size: Optional[int] = None,
-        executor: str = "process",
     ):
         if workers < 1:
             raise ConfigError("worker pool needs workers >= 1")
@@ -167,7 +163,6 @@ class WorkerPool:
         self.poll_interval = float(poll_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.chunk_size = chunk_size
-        self.executor = executor
         prefix = f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self._ids = [f"{prefix}/w{i}" for i in range(self.workers)]
         self._threads: List[threading.Thread] = []
@@ -350,7 +345,6 @@ class WorkerPool:
                     job,
                     jobs=self.jobs,
                     chunk_size=self.chunk_size,
-                    executor=self.executor,
                     on_chunk=on_chunk,
                 )
             self.queue.finish(job.id, worker_id)

@@ -202,7 +202,6 @@ class Campaign:
         self,
         jobs: int = 1,
         chunk_size: Optional[int] = None,
-        executor: str = "process",
         runner: Optional[BatchRunner] = None,
         on_chunk: Optional[Callable[[int, int], None]] = None,
     ) -> List[SystemResult]:
@@ -223,7 +222,7 @@ class Campaign:
         between chunks, losing no stored work.
         """
         if runner is None:
-            runner = BatchRunner(jobs=jobs, executor=executor, store=self.store)
+            runner = BatchRunner(jobs=jobs, store=self.store)
         elif runner.store is None:
             raise ConfigError(
                 "campaign runner must carry the campaign's result store "
@@ -283,13 +282,10 @@ class Campaign:
         return [by_key[key] for key, _ in rows]
 
     def resume(
-        self,
-        jobs: int = 1,
-        chunk_size: Optional[int] = None,
-        executor: str = "process",
+        self, jobs: int = 1, chunk_size: Optional[int] = None
     ) -> List[SystemResult]:
         """Alias of :meth:`run`: continue after an interruption."""
-        return self.run(jobs=jobs, chunk_size=chunk_size, executor=executor)
+        return self.run(jobs=jobs, chunk_size=chunk_size)
 
     def results(self) -> List[Optional[SystemResult]]:
         """Stored results in campaign order (``None`` where pending)."""
@@ -389,7 +385,6 @@ class CampaignPartition:
         store: ResultStore,
         jobs: int = 1,
         chunk_size: Optional[int] = None,
-        executor: str = "process",
         on_chunk: Optional[Callable[[int, int], None]] = None,
     ) -> List[SystemResult]:
         """Execute this slice as a sub-campaign of ``store``."""
@@ -400,12 +395,7 @@ class CampaignPartition:
             source=f"partition {self.index}/{self.of} of {self.campaign}",
             exist_ok=True,
         )
-        return sub.run(
-            jobs=jobs,
-            chunk_size=chunk_size,
-            executor=executor,
-            on_chunk=on_chunk,
-        )
+        return sub.run(jobs=jobs, chunk_size=chunk_size, on_chunk=on_chunk)
 
 
 def campaign_names(store: ResultStore) -> List[str]:

@@ -28,7 +28,6 @@ so the node keeps transmitting while the actuator settles.
 from __future__ import annotations
 
 import bisect
-import math
 import time
 from typing import List, Optional
 
@@ -146,6 +145,10 @@ class EnvelopeSimulator(ControllerBackend):
         if _OBS.metrics_on:
             _SIM_RUNS.inc(backend=backend)
             _POWER_EVALS.inc(self.micro.envelope.power_evals - evals_before)
+        return self._result()
+
+    def _result(self) -> SystemResult:
+        """Close the energy accounts and assemble the run's result."""
         self.breakdown.final_stored = self.store.energy
         self.breakdown.clipped = self.store.clipped_energy
         return SystemResult(

@@ -66,32 +66,18 @@ from repro.control.commands import (
 from repro.control.runner import _result_of
 from repro.control.session import tuning_session
 from repro.errors import SimulationError
-from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.obs.trace import span
-from repro.scenario import PartsSpec, Scenario
-from repro.system.components import (
-    SystemParts,
-    paper_lut,
-    paper_system,
-    paper_tuning_map,
-)
+from repro.scenario import Scenario
 from repro.system.envelope import (
     _SESSION_SECONDS,
+    _SIM_RUNS,
     _T_EPS,
     _TUNING_SESSIONS,
     _V_EPS,
     EnvelopeSimulator,
 )
 from repro.system.result import SystemResult, TuningEvent
-
-#: Simulation-run telemetry shared with the scalar backend: one count
-#: per completed scenario, labelled by the backend that produced it.
-_SIM_RUNS = _obs_metrics().counter(
-    "repro_sim_runs_total",
-    "Completed simulation runs per backend",
-    ("backend",),
-)
 
 #: Narrowest batch the ``vectorized`` backend integrates in lockstep;
 #: :func:`simulate_scalar` runs narrower ones.  The engine pays a fixed
@@ -105,40 +91,6 @@ LOCKSTEP_MIN_LANES = 5
 #: the engine mirrors that by resetting whenever an event (wake-up or
 #: finalisation) is processed, so legitimately long runs never trip it.
 _MAX_ITERATIONS = 50_000_000
-
-
-# -- shared physics ----------------------------------------------------------
-
-#: Process-wide (tuning map, LUT) pair shared by every lane.  Both are
-#: immutable during simulation and deterministic functions of the paper
-#: constants, so sharing them changes nothing but the setup cost
-#: (building the 256-entry LUT dominates ``paper_system()``).
-_PHYSICS: Optional[Tuple[object, object]] = None
-
-
-def _shared_physics():
-    global _PHYSICS
-    if _PHYSICS is None:
-        tuning_map = paper_tuning_map()
-        _PHYSICS = (tuning_map, paper_lut(tuning_map))
-    return _PHYSICS
-
-
-def _build_parts(spec: PartsSpec) -> SystemParts:
-    """``spec.build()`` with the immutable physics shared across lanes.
-
-    Exactly :func:`repro.system.components.paper_system`, but reusing
-    one tuning map and LUT per process instead of re-characterising them
-    per scenario (building the 256-entry LUT dominates lane setup).
-    """
-    tuning_map, lut = _shared_physics()
-    return paper_system(
-        v_init=spec.v_init,
-        initial_position=spec.initial_position,
-        initial_frequency=spec.initial_frequency,
-        tuning_map=tuning_map,
-        lut=lut,
-    )
 
 
 # -- the batch engine --------------------------------------------------------
@@ -529,21 +481,6 @@ class VectorizedEnvelopeEngine:
             self.target[i] = t_wake
             self.final[i] = False
 
-    def _finalize(self, i: int) -> SystemResult:
-        sim = self.sims[i]
-        sim.breakdown.final_stored = sim.store.energy
-        sim.breakdown.clipped = sim.store.clipped_energy
-        return SystemResult(
-            config=sim.config,
-            horizon=sim.t,
-            transmissions=sim.log.count,
-            breakdown=sim.breakdown,
-            traces=sim.traces,
-            tuning_events=sim.tuning_events,
-            final_voltage=sim.store.voltage,
-            final_position=sim.micro.position,
-        )
-
     # -- interleaved tuning sessions ------------------------------------------
 
     def _voltage(self, i: int) -> float:
@@ -768,7 +705,7 @@ class VectorizedEnvelopeEngine:
                             self._session_continue(i)
                         elif self.final[i]:
                             self._push(i)
-                            results[i] = self._finalize(i)
+                            results[i] = self.sims[i]._result()
                             self.done[i] = True
                         else:
                             self._session_begin(i)
@@ -1070,25 +1007,7 @@ def simulate_scalar(scenarios: Sequence[Scenario]) -> List[SystemResult]:
 
 
 def _lane_simulators(scenarios: Sequence[Scenario]) -> List[EnvelopeSimulator]:
-    """One envelope simulator per scenario, sharing the immutable physics."""
+    """One envelope simulator per scenario, built as the envelope backend does."""
     from repro.backends import _construct
 
-    return [
-        _construct(
-            EnvelopeSimulator,
-            scenario,
-            scenario.config,
-            parts=_build_parts(
-                scenario.parts if scenario.parts is not None else PartsSpec()
-            ),
-            profile=scenario.profile,
-            seed=scenario.seed,
-            **dict(scenario.options),
-        )
-        for scenario in scenarios
-    ]
-
-
-def simulate(scenario: Scenario) -> SystemResult:
-    """One-call vectorized simulation (a batch of one)."""
-    return simulate_batch([scenario])[0]
+    return [_construct(EnvelopeSimulator, scenario) for scenario in scenarios]

@@ -112,7 +112,7 @@ def test_worker_executes_only_its_slice(store, queue):
     assert [job.name for job in jobs] == ["px@p1of2", "px@p2of2"]
     for job, group in zip(jobs, groups):
         claimed = queue.claim(f"w{job.id}")
-        execute_job(store, claimed, executor="thread")
+        execute_job(store, claimed)
         queue.finish(claimed.id, f"w{job.id}")
         journaled = Campaign(store, job.name).scenarios()
         assert [s.cache_key() for s in journaled] == [
@@ -135,7 +135,7 @@ def test_gc_refuses_rows_active_jobs_depend_on(store, queue):
     # The job is queued; its journaled keys exist once a worker stores
     # them -- simulate that by running the job without finishing it.
     claimed = queue.claim("w1")
-    execute_job(store, claimed, executor="thread")
+    execute_job(store, claimed)
     assert len(store) > 0
     # Still running: gc (any selector matching its rows) must refuse.
     with pytest.raises(StoreError, match=claimed.id):
@@ -153,7 +153,7 @@ def test_gc_proceeds_once_jobs_are_terminal(store, queue):
     manifest = _manifest(n=2)
     queue.submit(manifest, kind="campaign", name="gcjob")
     claimed = queue.claim("w1")
-    execute_job(store, claimed, executor="thread")
+    execute_job(store, claimed)
     queue.finish(claimed.id, "w1")
     assert store.gc(family="factory-floor") == len(
         Campaign(store, "gcjob").scenarios()

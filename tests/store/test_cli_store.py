@@ -347,3 +347,32 @@ def test_invalid_json_is_an_error(tmp_path, capsys, argv, what):
     paths = {"BAD": str(bad), "DB": str(tmp_path / "x.db")}
     assert main([paths.get(arg, arg) for arg in argv]) == 1
     assert capsys.readouterr().err.startswith(f"error: {what} is not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["campaign", "run", "IN", "--store", "DB"], "manifest"),
+        (
+            ["coord", "run", "IN", "--workers", "http://127.0.0.1:9",
+             "--store", "DB"],
+            "manifest",
+        ),
+        (["report", "IN"], "report file"),
+        (["run-scenario", "IN"], "scenario file"),
+    ],
+    ids=["campaign-run", "coord-run", "report", "run-scenario"],
+)
+def test_missing_input_file_is_an_error(tmp_path, capsys, argv, what):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    db = tmp_path / "x.db"
+    for source, message in (
+        (tmp_path / "missing.json", f"cannot read {what}: "),
+        (bad, f"{what} is not valid JSON: "),
+    ):
+        paths = {"IN": str(source), "DB": str(db)}
+        assert main([paths.get(arg, arg) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        # A refused command writes nothing.
+        assert not db.exists()

@@ -269,7 +269,7 @@ def _run_partition_process(part, path, crash_after, queue):
     CountingBackend.crash_after = crash_after
     store = ResultStore(path)
     try:
-        part.run(store, jobs=1, chunk_size=2, executor="thread")
+        part.run(store, jobs=1, chunk_size=2)
         queue.put(("done", len(CountingBackend.simulated)))
     except SimulationError:
         queue.put(("crashed", len(CountingBackend.simulated)))
@@ -295,7 +295,7 @@ def test_partitioned_kill_resume_merge_is_byte_identical(tmp_path):
     single = ResultStore(tmp_path / "single.db")
     CountingBackend.simulated = []
     reference = Campaign.create(single, "acc", scenarios)
-    reference.run(jobs=1, executor="thread")
+    reference.run(jobs=1)
     assert len(CountingBackend.simulated) == 12
 
     # Partitioned: two processes, two private stores; partition 1 is
@@ -332,7 +332,7 @@ def test_partitioned_kill_resume_merge_is_byte_identical(tmp_path):
     # NOTHING: every row is already present.
     CountingBackend.simulated = []
     final = Campaign.create(canonical, "acc", scenarios)
-    final.run(jobs=1, executor="thread")
+    final.run(jobs=1)
     assert CountingBackend.simulated == []
     assert final.status().complete
 

@@ -163,7 +163,7 @@ def test_campaign_runs_against_sharded_store(tmp_path, pairs):
     store = ShardedResultStore(tmp_path / "store", shards=4)
     scenarios = [replace(s, backend="envelope") for s, _ in pairs]
     campaign = Campaign.create(store, "sharded-camp", scenarios)
-    results = campaign.run(jobs=1, executor="thread")
+    results = campaign.run(jobs=1)
     assert len(results) == len(scenarios)
     status = campaign.status()
     assert status.complete

@@ -15,12 +15,12 @@ from repro.errors import ConfigError
 from repro.scenario import PartsSpec, Scenario, named_scenario
 from repro.store.db import canonical_json
 from repro.system import vectorized
-from repro.system.components import paper_system
+from repro.system.components import paper_lut, paper_system, paper_tuning_map
 from repro.system.config import SystemConfig
 from repro.system.stochastic import named_family
 from repro.system.vectorized import (
     LOCKSTEP_MIN_LANES,
-    _build_parts,
+    _lane_simulators,
     simulate_batch,
 )
 from repro.system.vibration import VibrationProfile
@@ -45,23 +45,23 @@ def _short(**overrides) -> Scenario:
 
 class TestSharedPhysicsParts:
     def test_matches_paper_system(self):
-        spec = PartsSpec(v_init=2.72, initial_frequency=66.0)
-        fast = _build_parts(spec)
-        slow = paper_system(v_init=2.72, initial_frequency=66.0)
-        assert fast.store.energy == slow.store.energy
-        assert fast.microgenerator.position == slow.microgenerator.position
-        assert fast.lut.positions == slow.lut.positions
-        assert fast.microgenerator.tuning_map.resonant_frequency(
+        # The shared pair must stay equal to a fresh characterisation.
+        shared = PartsSpec(v_init=2.72, initial_frequency=66.0).build()
+        tuning_map = paper_tuning_map()
+        lut = paper_lut(tuning_map)
+        assert shared.lut.positions == lut.positions
+        assert shared.microgenerator.tuning_map.resonant_frequency(
             100
-        ) == slow.microgenerator.tuning_map.resonant_frequency(100)
+        ) == tuning_map.resonant_frequency(100)
+        assert shared.microgenerator.position == lut.lookup(66.0)
 
     def test_explicit_position_override(self):
-        fast = _build_parts(PartsSpec(initial_position=37))
-        assert fast.microgenerator.position == 37
+        parts = PartsSpec(initial_position=37).build()
+        assert parts.microgenerator.position == 37
 
     def test_lanes_do_not_share_mutable_state(self):
-        a = _build_parts(PartsSpec())
-        b = _build_parts(PartsSpec())
+        a = PartsSpec().build()
+        b = PartsSpec().build()
         a.microgenerator.actuator.move_steps(5)
         a.store.draw(0.1)
         assert b.microgenerator.actuator.total_steps_moved == 0
@@ -69,6 +69,31 @@ class TestSharedPhysicsParts:
         # The heavyweight immutable physics *is* shared.
         assert a.lut is b.lut
         assert a.microgenerator.tuning_map is b.microgenerator.tuning_map
+
+    @pytest.mark.parametrize("backend", ["envelope", "detailed", "vectorized"])
+    def test_simulators_share_the_calibrated_physics(self, backend):
+        from repro.backends import _construct
+        from repro.system.detailed import DetailedSimulator
+        from repro.system.envelope import EnvelopeSimulator
+
+        scenarios = [
+            Scenario(horizon=0.1, backend=backend),
+            Scenario(horizon=0.1, backend=backend, parts=PartsSpec(v_init=2.7)),
+        ]
+        if backend == "vectorized":
+            sims = _lane_simulators(scenarios)
+        else:
+            cls = EnvelopeSimulator if backend == "envelope" else DetailedSimulator
+            sims = [_construct(cls, scenario) for scenario in scenarios]
+        reference = paper_system()
+        for sim in sims:
+            assert sim.parts.lut is reference.lut
+            tuning_map = sim.parts.microgenerator.tuning_map
+            assert tuning_map is reference.microgenerator.tuning_map
+        # Each simulator has its own store and actuator.
+        parts = [reference] + [sim.parts for sim in sims]
+        assert len({id(p.store) for p in parts}) == 3
+        assert len({id(p.microgenerator.actuator) for p in parts}) == 3
 
 
 class TestBackendContract:
