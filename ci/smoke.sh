@@ -111,11 +111,17 @@ section_cli() {
   repro-wsn store stats results.db
   repro-wsn store export results.db --format csv --out export.csv
   repro-wsn store gc results.db --orphans
-  # A missing manifest is refused with exit 1 before any store is opened.
+  # A missing or refused manifest exits 1 before any store is opened.
   local code=0
   repro-wsn campaign run missing.json --store refused.db 2> refused.err || code=$?
   if [ "$code" -ne 1 ] || [ -e refused.db ]; then exit 1; fi
   grep -q "error: cannot read manifest" refused.err
+  echo '[]' > list.json
+  code=0
+  repro-wsn coord run list.json --workers http://127.0.0.1:9 \
+    --store refused.db 2> refused.err || code=$?
+  if [ "$code" -ne 1 ] || [ -e refused.db ]; then exit 1; fi
+  grep -q "error: the campaign manifest must be a JSON object" refused.err
 }
 
 section_study() {
@@ -125,6 +131,10 @@ section_study() {
   repro-wsn study resume smoke --store studies.db
   repro-wsn study status --store studies.db
   repro-wsn study status smoke --store studies.db
+  # gc keeps every row a study journal references.
+  repro-wsn store gc studies.db --orphans
+  repro-wsn study status smoke --store studies.db > status.txt
+  grep -q "(100%)" status.txt
   repro-wsn explore --horizon 300 --seed 1 --design lhs \
     --surrogate quadratic --optimizers nelder-mead,pattern
 }

@@ -66,6 +66,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.documents import format_json, read_json, write_json
+
 
 def _add_backend_jobs(
     parser: argparse.ArgumentParser,
@@ -106,22 +108,6 @@ def _add_status(sub, help: str, name_help: str) -> None:
     status = sub.add_parser("status", help=help)
     status.add_argument("name", type=str, nargs="?", default=None, help=name_help)
     _add_store(status, required=True)
-
-
-def _read_json(path: str, what: str):
-    import json
-    from pathlib import Path
-
-    from repro.errors import DesignError
-
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DesignError(f"cannot read {what}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DesignError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _open_store(path: str, shards=None):
@@ -376,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sto_gc.add_argument(
         "--orphans",
         action="store_true",
-        help="delete rows referenced by no campaign",
+        help="delete rows referenced by no campaign or study",
     )
     sto_gc.add_argument(
         "--dry-run", action="store_true", help="count, do not delete"
@@ -719,8 +705,6 @@ def _cmd_simulate(args) -> int:
 
 def _write_results_payload(path: str, scenarios, results) -> None:
     """Write a batch's canonical schema-stamped result document."""
-    import json
-
     from repro.system.result import RESULT_SCHEMA
 
     payload = {
@@ -730,8 +714,7 @@ def _write_results_payload(path: str, scenarios, results) -> None:
             for s, r in zip(scenarios, results)
         ],
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
     print(f"results written to {path}")
 
 
@@ -804,7 +787,7 @@ def _cmd_run_scenario(args) -> int:
     # (so a mistyped filename errors as a missing file, not a bad name).
     looks_like_file = path.suffix == ".json" or len(path.parts) > 1
     if path.exists() or looks_like_file:
-        payload = _read_json(args.path, "scenario file")
+        payload = read_json(args.path, "scenario file")
         if isinstance(payload, dict) and "scenarios" in payload:
             return _run_manifest(args, payload)
         scenario = Scenario.from_dict(payload)
@@ -835,7 +818,6 @@ def _cmd_run_scenario(args) -> int:
 
 
 def _cmd_gen_scenarios(args) -> int:
-    import json
     from dataclasses import replace
 
     from repro.system.stochastic import family_names, named_family
@@ -855,16 +837,14 @@ def _cmd_gen_scenarios(args) -> int:
     if args.backend is not None:
         family = replace(family, backend=args.backend)
     manifest = family.manifest(n=args.n, seed=args.seed)
-    text = json.dumps(manifest, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        write_json(args.out, manifest)
         print(
             f"{manifest['count']} scenarios of family {family.name!r} "
             f"(seed {args.seed}) written to {args.out}"
         )
     elif not args.store:
-        print(text)
+        print(format_json(manifest))
     if args.store:
         from repro.store import Campaign
         from repro.system.stochastic import manifest_name, manifest_scenarios
@@ -946,28 +926,21 @@ def _cmd_study(args) -> int:
     )
 
     if args.study_command == "template":
-        text = paper_study_spec().to_json()
+        spec = paper_study_spec()
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+            spec.save(args.out)
             print(f"study template written to {args.out}")
             print(f"run it with: repro-wsn study run {args.out} --store results.db")
         else:
-            print(text)
+            print(spec.to_json())
         return 0
     if args.study_command == "run":
         from dataclasses import replace
 
-        path = Path(args.spec)
-        if args.spec in STUDY_LIBRARY and not path.exists():
+        if args.spec in STUDY_LIBRARY and not Path(args.spec).exists():
             spec = named_study(args.spec)
         else:
-            try:
-                text = path.read_text()
-            except OSError as exc:
-                print(f"error: cannot read study spec: {exc}", file=sys.stderr)
-                return 1
-            spec = StudySpec.from_json(text)
+            spec = StudySpec.load(args.spec)
         if args.name:
             spec = replace(spec, name=args.name)
         store = _open_store(args.store) if args.store else None
@@ -1039,7 +1012,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     from repro.errors import DesignError
 
-    payload = _read_json(args.path, "report file")
+    payload = read_json(args.path, "report file")
     if not isinstance(payload, dict):
         raise DesignError(
             f"report payload must be a JSON object, got {type(payload).__name__}"
@@ -1076,10 +1049,10 @@ def _cmd_report(args) -> int:
         print(f"total transmissions: {total}")
         return 0
 
-    from repro.core.campaign import load_outcome
+    from repro.core.campaign import outcome_from_payload
     from repro.core.report import render_table_vi
 
-    outcome = load_outcome(args.path)
+    outcome = outcome_from_payload(payload)
     print(outcome.summary())
     print()
     print(render_table_vi(outcome))
@@ -1199,7 +1172,7 @@ def _cmd_campaign(args) -> int:
         if error is not None:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        payload = _read_json(args.manifest, "manifest")
+        payload = read_json(args.manifest, "manifest")
         scenarios = manifest_scenarios(payload)
         name = args.name or manifest_name(payload) or (
             f"manifest-n{payload.get('n', len(scenarios))}"
@@ -1372,11 +1345,13 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_coord(args) -> int:
-    from repro.coord import Coordinator, coord_names, coord_status
+    from repro.coord import Coordinator, check_coordination, coord_names, coord_status
 
     if args.coord_command == "run":
-        # Read the manifest first, so an unreadable one creates no store.
-        payload = _read_json(args.manifest, "manifest")
+        # Every store-free check first, so a refused run creates no store.
+        payload = read_json(args.manifest, "manifest")
+        workers = [u.strip() for u in args.workers.split(",") if u.strip()]
+        check_coordination(payload, workers, args.name, args.partitions)
     store = _open_store(args.store)
     if args.coord_command == "status":
         if args.name is not None:
@@ -1389,7 +1364,6 @@ def _cmd_coord(args) -> int:
             print(coord_status(store, name).summary())
         return 0
     if args.coord_command == "run":
-        workers = [u.strip() for u in args.workers.split(",") if u.strip()]
         options = {}
         if args.poll is not None:
             options["poll_interval_s"] = args.poll

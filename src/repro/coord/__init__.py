@@ -15,6 +15,7 @@ from repro.coord.coordinator import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_POLL_INTERVAL_S,
     DEFAULT_STALL_TIMEOUT_S,
+    check_coordination,
     coord_names,
     coord_status,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "DEFAULT_STALL_TIMEOUT_S",
     "PARTITION_STATES",
     "PartitionState",
+    "check_coordination",
     "coord_names",
     "coord_status",
 ]

@@ -45,6 +45,7 @@ from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.obs.trace import event, span
 from repro.coord.journal import CoordJournal, CoordRun, PartitionState
+from repro.scenario import Scenario
 from repro.service.client import (
     ServiceClient,
     ServiceError,
@@ -203,6 +204,44 @@ def coord_status(store: ResultStore, name: str) -> CoordStatus:
     )
 
 
+def check_coordination(
+    manifest: dict,
+    workers: List[str],
+    name: Optional[str] = None,
+    partitions: Optional[int] = None,
+) -> Tuple[List[str], List[Scenario], str, List[Tuple[int, int]]]:
+    """Every store-free check of a coordinated run (worker URLs,
+    manifest, name, partition count); returns ``(worker_urls, scenarios,
+    name, slices)``.  ``coord run`` calls it before opening ``--store``,
+    so a refused manifest creates no store.
+    """
+    worker_urls = [str(url).rstrip("/") for url in workers if str(url).strip()]
+    if not worker_urls:
+        raise ConfigError("the coordinator needs at least one worker URL")
+    if len(set(worker_urls)) != len(worker_urls):
+        raise ConfigError("worker URLs must be distinct")
+    if not isinstance(manifest, dict):
+        raise ConfigError("the campaign manifest must be a JSON object")
+    if manifest.get("partition") is not None:
+        raise ConfigError(
+            "the manifest must not carry its own partition request; "
+            "the coordinator assigns partitions"
+        )
+    scenarios = manifest_scenarios(manifest)
+    name = str(name or manifest_name(manifest) or "")
+    if not name:
+        raise ConfigError(
+            "the coordinated campaign needs a name (pass name=... or "
+            "put one in the manifest)"
+        )
+    if partitions is None:
+        partitions = min(len(worker_urls), len(scenarios))
+    # Validates 1 <= partitions <= len(scenarios), same as the workers
+    # will, and pins down each slice's journal span.
+    slices = partition_slices(len(scenarios), int(partitions))
+    return worker_urls, scenarios, name, slices
+
+
 class Coordinator:
     """Drive one campaign manifest across remote HTTP workers.
 
@@ -249,40 +288,17 @@ class Coordinator:
         client_factory: Optional[Callable[[str], ServiceClient]] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        worker_urls = [str(url).rstrip("/") for url in workers if str(url).strip()]
-        if not worker_urls:
-            raise ConfigError("the coordinator needs at least one worker URL")
-        if len(set(worker_urls)) != len(worker_urls):
-            raise ConfigError("worker URLs must be distinct")
+        worker_urls, scenarios, self.name, self._slices = check_coordination(
+            manifest, workers, name, partitions
+        )
         if max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
         if stall_timeout_s <= 0:
             raise ConfigError("stall timeout must be positive")
-        if not isinstance(manifest, dict):
-            raise ConfigError("the campaign manifest must be a JSON object")
-        if manifest.get("partition") is not None:
-            raise ConfigError(
-                "the manifest must not carry its own partition request; "
-                "the coordinator assigns partitions"
-            )
 
         self.store = store
         self.manifest = dict(manifest)
-        scenarios = manifest_scenarios(self.manifest)
-        self.name = str(name or manifest_name(self.manifest) or "")
-        if not self.name:
-            raise ConfigError(
-                "the coordinated campaign needs a name (pass name=... or "
-                "put one in the manifest)"
-            )
-        self.partitions = int(
-            partitions
-            if partitions is not None
-            else min(len(worker_urls), len(scenarios))
-        )
-        # Validates 1 <= partitions <= len(scenarios), same as the
-        # workers will, and pins down each slice's journal span.
-        self._slices = partition_slices(len(scenarios), self.partitions)
+        self.partitions = len(self._slices)
 
         self.poll_interval_s = float(poll_interval_s)
         self.stall_timeout_s = float(stall_timeout_s)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Mapping, Union
 
 import numpy as np
 
 from repro.core.explorer import ExplorationOutcome, OptimaEntry
 from repro.doe.design import Design
+from repro.documents import check_document, read_json
 from repro.errors import DesignError
 from repro.optimize.result import OptimizationResult
 from repro.rsm.basis import PolynomialBasis
@@ -69,23 +70,32 @@ def save_outcome(outcome: ExplorationOutcome, path: Union[str, Path]) -> None:
 
 
 def load_outcome(path: Union[str, Path]) -> ExplorationOutcome:
-    """Rebuild an outcome from :func:`save_outcome` output.
+    """Rebuild an outcome from a :func:`save_outcome` file.
 
     The returned object carries reconstructed design/model objects and the
     saved statistics; optimizer histories and simulator traces are not
     persisted (their ``optimizer_result`` fields hold summary shells).
+    """
+    return outcome_from_payload(read_json(path, "campaign file"))
+
+
+def outcome_from_payload(payload: Mapping) -> ExplorationOutcome:
+    """Rebuild an outcome from the parsed JSON of a :func:`save_outcome` file.
 
     Files written before the ``schema`` field existed load as schema 1
-    (their layout is identical); unknown versions raise
-    :class:`~repro.errors.DesignError`.
+    (their layout is identical); unknown versions, non-objects and
+    missing or malformed entries raise :class:`~repro.errors.DesignError`.
     """
-    raw = json.loads(Path(path).read_text())
-    schema = raw.get("schema", CAMPAIGN_SCHEMA)
-    if schema != CAMPAIGN_SCHEMA:
-        raise DesignError(
-            f"unsupported campaign schema {schema!r} "
-            f"(this library reads schema {CAMPAIGN_SCHEMA})"
-        )
+    check_document(payload, "campaign", CAMPAIGN_SCHEMA)
+    try:
+        return _outcome(payload)
+    except KeyError as exc:
+        raise DesignError(f"campaign payload has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise DesignError(f"campaign payload has a malformed value: {exc}") from exc
+
+
+def _outcome(raw: Mapping) -> ExplorationOutcome:
     space = paper_parameter_space()
     points = np.asarray(raw["design"]["points"], dtype=float)
     if points.ndim != 2 or points.shape[1] != space.k:

@@ -10,14 +10,15 @@ Every stage is resolved through a process-wide registry -- designs from
 optimisers from :mod:`repro.optimize.registry` -- so the pipeline is
 assembled from names, exactly like simulation backends.  The serialisable
 face of that idea is :class:`~repro.core.study.StudySpec`; this class
-remains the imperative driver underneath it (and keeps its original
-callable-based signatures working).
+remains the imperative driver underneath it.  The registries are the
+only way in: a new optimiser is :func:`~repro.optimize.registry.register_optimizer`,
+a D-optimal exchange variant is ``design_options={"method": ...}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,13 +120,6 @@ class ExplorationOutcome:
         return "\n".join(lines)
 
 
-#: ``optimizers`` arguments accepted by the explorer: named registry
-#: entries (new) or a mapping of label -> callable (the original API).
-OptimizerArg = Union[
-    Sequence[str], Mapping[str, Callable[..., OptimizationResult]], None
-]
-
-
 class DesignSpaceExplorer:
     """DOE -> simulate -> RSM -> optimise -> verify."""
 
@@ -146,22 +140,18 @@ class DesignSpaceExplorer:
     def build_design(
         self,
         n_runs: int = 10,
-        method: str = "fedorov",
         seed: int = 0,
         design: str = "d-optimal",
         options: Optional[Mapping[str, object]] = None,
     ) -> Design:
         """Stage 1: a named design (paper: 10-run D-optimal, 3-level grid).
 
-        ``design`` names a :mod:`repro.doe.registry` generator;
-        ``method`` is kept for backward compatibility and feeds the
-        D-optimal exchange algorithm choice.
+        ``design`` names a :mod:`repro.doe.registry` generator and
+        ``options`` are its keyword arguments (for ``d-optimal``,
+        ``method`` picks the exchange algorithm; default Fedorov).
         """
-        opts = dict(options or {})
-        if design == "d-optimal":
-            opts.setdefault("method", method)
         return get_design(design)(
-            self.space, n_runs, derive_seed(seed, 11), **opts
+            self.space, n_runs, derive_seed(seed, 11), **dict(options or {})
         )
 
     def run_design(self, design: Design) -> np.ndarray:
@@ -184,15 +174,14 @@ class DesignSpaceExplorer:
         self,
         model: ResponseSurface,
         seed: int = 0,
-        optimizers: OptimizerArg = None,
+        optimizers: Optional[Sequence[str]] = None,
         optimizer_options: Optional[Mapping[str, Mapping[str, object]]] = None,
     ) -> List[OptimaEntry]:
         """Stage 4+5: maximise the surface, then verify by simulation.
 
         ``optimizers`` is a sequence of :mod:`repro.optimize.registry`
-        names (default: the paper's SA + GA) or, as before, a mapping of
-        label -> optimiser callable.  ``optimizer_options`` supplies
-        per-name keyword arguments for the named form.
+        names (default: the paper's SA + GA); ``optimizer_options``
+        supplies per-name keyword arguments.
         """
         problem = Problem(
             objective=lambda x: float(model.predict_coded(x)),
@@ -202,7 +191,11 @@ class DesignSpaceExplorer:
         )
         entries: List[OptimaEntry] = []
         options = dict(optimizer_options or {})
-        for i, (name, method) in enumerate(self._resolve(optimizers)):
+        if optimizers is None:
+            optimizers = DEFAULT_OPTIMIZERS
+        # Resolve every name before the first optimiser runs.
+        methods = [(name, get_optimizer(name)) for name in optimizers]
+        for i, (name, method) in enumerate(methods):
             result = method(
                 problem, seed=derive_seed(seed, 100 + i), **dict(options.get(name, {}))
             )
@@ -221,26 +214,14 @@ class DesignSpaceExplorer:
             )
         return entries
 
-    @staticmethod
-    def _resolve(
-        optimizers: OptimizerArg,
-    ) -> List[Tuple[str, Callable[..., OptimizationResult]]]:
-        """Names -> registry lookups; mappings pass through unchanged."""
-        if optimizers is None:
-            optimizers = DEFAULT_OPTIMIZERS
-        if isinstance(optimizers, Mapping):
-            return list(optimizers.items())
-        return [(name, get_optimizer(name)) for name in optimizers]
-
     # -- one-call flow -----------------------------------------------------------
 
     def run(
         self,
         n_runs: int = 10,
         seed: int = 0,
-        doe_method: str = "fedorov",
         design: Optional[Design] = None,
-        optimizers: OptimizerArg = None,
+        optimizers: Optional[Sequence[str]] = None,
         design_name: str = "d-optimal",
         design_options: Optional[Mapping[str, object]] = None,
         surrogate: str = "quadratic",
@@ -249,11 +230,7 @@ class DesignSpaceExplorer:
     ) -> ExplorationOutcome:
         """Execute the full paper workflow and return every artefact."""
         design = design or self.build_design(
-            n_runs,
-            method=doe_method,
-            seed=seed,
-            design=design_name,
-            options=design_options,
+            n_runs, seed=seed, design=design_name, options=design_options
         )
         responses = self.run_design(design)
         model = self.fit_model(

@@ -33,7 +33,6 @@ evaluation of the paper's section V; ``run_paper_flow`` and the CLI
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -48,6 +47,15 @@ from repro.core.explorer import (
 from repro.core.objective import SimulationObjective, get_metric
 from repro.doe.design import Design
 from repro.doe.registry import get_design
+from repro.documents import (
+    canonical_json,
+    check_document,
+    check_options,
+    format_json,
+    parse_json,
+    read_json,
+    write_json,
+)
 from repro.errors import ConfigError, DesignError
 from repro.obs.trace import span
 from repro.optimize.registry import get_optimizer
@@ -59,35 +67,6 @@ from repro.system.vibration import VibrationProfile
 
 #: Version stamp written into every study JSON payload.
 STUDY_SCHEMA = 1
-
-#: Option values that survive a JSON round-trip unchanged.
-_JSON_SCALARS = (bool, int, float, str, type(None))
-
-
-def _check_options(label: str, options: Mapping[str, object]) -> Dict[str, object]:
-    """Copy ``options``, rejecting anything that cannot live in JSON.
-
-    ``None`` (a JSON ``null`` in a hand-written spec) means "no
-    options"; any other non-mapping is a spec error, not a crash.
-    """
-    if options is None:
-        return {}
-    if not isinstance(options, Mapping):
-        raise ConfigError(
-            f"{label} options must be a JSON object, "
-            f"got {type(options).__name__}"
-        )
-    out = {}
-    for key, value in dict(options).items():
-        if not isinstance(key, str):
-            raise ConfigError(f"{label} option names must be strings")
-        if not isinstance(value, _JSON_SCALARS):
-            raise ConfigError(
-                f"{label} option {key!r} must be a JSON scalar, "
-                f"got {type(value).__name__}"
-            )
-        out[key] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -166,12 +145,12 @@ class StudySpec:
                 "study optimizers must be a list of registered names"
             ) from None
         object.__setattr__(
-            self, "design_options", _check_options("design", self.design_options)
+            self, "design_options", check_options("design", self.design_options)
         )
         object.__setattr__(
             self,
             "surrogate_options",
-            _check_options("surrogate", self.surrogate_options),
+            check_options("surrogate", self.surrogate_options),
         )
         per_optimizer = self.optimizer_options
         if per_optimizer is None:
@@ -185,7 +164,7 @@ class StudySpec:
             self,
             "optimizer_options",
             {
-                str(name): _check_options(f"optimizer {name!r}", opts)
+                str(name): check_options(f"optimizer {name!r}", opts)
                 for name, opts in dict(per_optimizer).items()
             },
         )
@@ -263,17 +242,7 @@ class StudySpec:
         Unversioned payloads are accepted as schema 1; unknown versions
         and non-object payloads raise :class:`~repro.errors.DesignError`.
         """
-        if not isinstance(payload, Mapping):
-            raise DesignError(
-                f"study payload must be a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        schema = payload.get("schema", STUDY_SCHEMA)
-        if schema != STUDY_SCHEMA:
-            raise DesignError(
-                f"unsupported study schema {schema!r} "
-                f"(this library reads schema {STUDY_SCHEMA})"
-            )
+        check_document(payload, "study", STUDY_SCHEMA)
         # Field-name typos must be as loud as stage-name typos: a spec
         # with "optimiser" would otherwise silently run the defaults.
         known = {
@@ -334,25 +303,21 @@ class StudySpec:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """JSON text of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return format_json(self.to_dict(), indent)
 
     @classmethod
     def from_json(cls, text: str) -> "StudySpec":
         """Parse :meth:`to_json` output."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DesignError(f"study file is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(parse_json(text, "study file"))
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the spec to a JSON file."""
-        Path(path).write_text(self.to_json() + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "StudySpec":
         """Read a spec from a JSON file."""
-        return cls.from_json(Path(path).read_text())
+        return cls.from_dict(read_json(path, "study file"))
 
     def cache_key(self) -> str:
         """Content hash: equal-valued specs share one key.
@@ -364,8 +329,7 @@ class StudySpec:
         payload = self.to_dict()
         del payload["name"]
         del payload["jobs"]
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
     def describe(self) -> str:
         """One-line human-readable summary."""

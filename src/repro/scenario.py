@@ -18,21 +18,26 @@ the stress cases used by examples and benches.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
-from repro.errors import ConfigError, DesignError
+from repro.documents import (
+    canonical_json,
+    check_document,
+    check_options,
+    format_json,
+    parse_json,
+    read_json,
+    write_json,
+)
+from repro.errors import ConfigError
 from repro.system.components import SystemParts, paper_system
 from repro.system.config import ORIGINAL_DESIGN, SystemConfig
 from repro.system.vibration import VibrationProfile
 
 #: Version stamp written into every scenario JSON payload.
 SCENARIO_SCHEMA = 1
-
-#: Option values that survive a JSON round-trip unchanged.
-_JSON_SCALARS = (bool, int, float, str, type(None))
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,8 @@ class Scenario:
     options:
         Backend-specific keyword arguments (e.g. ``dt_max`` /
         ``record_traces`` for the envelope backend, ``points_per_cycle``
-        for the detailed one).  Values must be JSON scalars.
+        for the detailed one).  Values must be JSON scalars; ``None``
+        means no options.
     name:
         Optional label carried through reports and batch summaries.
     """
@@ -137,19 +143,11 @@ class Scenario:
         object.__setattr__(self, "horizon", float(self.horizon))
         if self.seed is not None:
             object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "options", dict(self.options))
+        object.__setattr__(self, "options", check_options("scenario", self.options))
         if self.horizon <= 0.0:
             raise ConfigError("scenario horizon must be positive")
         if not self.backend or not isinstance(self.backend, str):
             raise ConfigError("scenario backend must be a non-empty string")
-        for key, value in self.options.items():
-            if not isinstance(key, str):
-                raise ConfigError("scenario option names must be strings")
-            if not isinstance(value, _JSON_SCALARS):
-                raise ConfigError(
-                    f"scenario option {key!r} must be a JSON scalar, "
-                    f"got {type(value).__name__}"
-                )
 
     def __hash__(self) -> int:
         return hash(self.cache_key())
@@ -180,11 +178,7 @@ class Scenario:
             "schema": SCENARIO_SCHEMA,
             "name": self.name,
             "backend": self.backend,
-            "config": {
-                "clock_hz": self.config.clock_hz,
-                "watchdog_s": self.config.watchdog_s,
-                "tx_interval_s": self.config.tx_interval_s,
-            },
+            "config": self.config.to_payload(),
             "parts": None if self.parts is None else self.parts.to_payload(),
             "profile": None if self.profile is None else self.profile.to_payload(),
             "horizon": self.horizon,
@@ -199,57 +193,38 @@ class Scenario:
         Unversioned payloads are accepted as schema 1; unknown versions
         and non-object payloads raise :class:`~repro.errors.DesignError`.
         """
-        if not isinstance(payload, Mapping):
-            raise DesignError(
-                f"scenario payload must be a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        schema = payload.get("schema", SCENARIO_SCHEMA)
-        if schema != SCENARIO_SCHEMA:
-            raise DesignError(
-                f"unsupported scenario schema {schema!r} "
-                f"(this library reads schema {SCENARIO_SCHEMA})"
-            )
-        cfg = payload.get("config", {})
+        check_document(payload, "scenario", SCENARIO_SCHEMA)
         parts = payload.get("parts")
         profile = payload.get("profile")
         seed = payload.get("seed", 0)
         return cls(
-            config=SystemConfig(
-                clock_hz=float(cfg.get("clock_hz", 4e6)),
-                watchdog_s=float(cfg.get("watchdog_s", 320.0)),
-                tx_interval_s=float(cfg.get("tx_interval_s", 5.0)),
-            ),
+            config=SystemConfig.from_payload(payload.get("config", {})),
             parts=None if parts is None else PartsSpec.from_payload(parts),
             profile=None if profile is None else VibrationProfile.from_payload(profile),
             horizon=float(payload.get("horizon", 3600.0)),
             seed=None if seed is None else int(seed),
             backend=str(payload.get("backend", "envelope")),
-            options=dict(payload.get("options", {})),
+            options=payload.get("options"),
             name=str(payload.get("name", "")),
         )
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """JSON text of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return format_json(self.to_dict(), indent)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         """Parse :meth:`to_json` output."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DesignError(f"scenario file is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(parse_json(text, "scenario file"))
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the scenario to a JSON file."""
-        Path(path).write_text(self.to_json() + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Scenario":
         """Read a scenario from a JSON file."""
-        return cls.from_json(Path(path).read_text())
+        return cls.from_dict(read_json(path, "scenario file"))
 
     def cache_key(self) -> str:
         """Content hash: equal-valued scenarios share one key.
@@ -260,8 +235,7 @@ class Scenario:
         """
         payload = self.to_dict()
         del payload["name"]
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 # -- named scenario library ---------------------------------------------------

@@ -50,6 +50,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from repro.documents import canonical_json
 from repro.errors import ConfigError, DesignError, StoreError
 from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
@@ -187,15 +188,6 @@ _INSERT_RESULT = (
     f"INSERT OR IGNORE INTO results ({_RAW_SELECT}) "
     f"VALUES ({','.join('?' * len(RESULT_COLUMNS))})"
 )
-
-
-def canonical_json(payload: object) -> str:
-    """The store's one serialisation: sorted keys, fixed separators.
-
-    Equal payloads always produce identical bytes, making row-level
-    byte comparison a meaningful integrity check.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _utc_now() -> datetime:
@@ -1115,7 +1107,8 @@ class ResultStore:
         """Delete matching result rows and reclaim their space.
 
         ``older_than_days`` keeps recent work, ``family`` targets one
-        family's rows, ``orphans`` selects rows no campaign references.
+        family's rows, ``orphans`` selects rows no campaign or study
+        journal references.
         With no selector at all nothing is deleted (an unfiltered purge
         must be an explicit decision -- pass ``older_than_days=0``).
         Returns the number of (to-be-)deleted rows; ``dry_run`` only
@@ -1169,15 +1162,16 @@ class ResultStore:
             )
         ]
         if orphans:
-            # The campaign journal lives in this (meta) file only, so
-            # orphans are filtered here rather than by a per-shard SQL
-            # subquery (which would call every other shard's row one).
+            # The journals live in this (meta) file only, so orphans are
+            # filtered here rather than by a per-shard SQL subquery
+            # (which would call every other shard's row one).
             journaled = {
                 row[0]
                 for row in self._conn().execute(
                     "SELECT key FROM campaign_scenarios"
                 )
             }
+            journaled.update(key for study in self.studies() for key in study.keys)
             candidates = [key for key in candidates if key not in journaled]
         return candidates
 

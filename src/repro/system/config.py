@@ -13,8 +13,8 @@ The original design (Table VI, first column) is 4 MHz / 320 s / 5 s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Mapping, Sequence
 
 from repro.errors import ConfigError
 from repro.rsm.coding import Parameter, ParameterSpace
@@ -64,6 +64,17 @@ class SystemConfig:
             clock_hz=float(values[0]),
             watchdog_s=float(values[1]),
             tx_interval_s=float(values[2]),
+        )
+
+    def to_payload(self) -> dict:
+        """Plain-JSON dictionary (scenario and result documents embed it)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_payload(cls, payload: Mapping) -> "SystemConfig":
+        """Rebuild from :meth:`to_payload` output; a missing knob defaults."""
+        return cls(
+            **{f.name: float(payload.get(f.name, f.default)) for f in fields(cls)}
         )
 
     def describe(self) -> str:

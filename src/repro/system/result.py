@@ -9,13 +9,18 @@ the per-session tuning log and the audit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Mapping, Optional, Tuple, Union
 
 from repro.control.session import SessionResult
-from repro.errors import DesignError
+from repro.documents import (
+    check_document,
+    format_json,
+    parse_json,
+    read_json,
+    write_json,
+)
 from repro.sim.trace import TraceSet
 from repro.system.config import SystemConfig
 
@@ -156,11 +161,7 @@ class SystemResult:
         """
         return {
             "schema": RESULT_SCHEMA,
-            "config": {
-                "clock_hz": self.config.clock_hz,
-                "watchdog_s": self.config.watchdog_s,
-                "tx_interval_s": self.config.tx_interval_s,
-            },
+            "config": self.config.to_payload(),
             "horizon": float(self.horizon),
             "transmissions": int(self.transmissions),
             "final_voltage": float(self.final_voltage),
@@ -177,24 +178,9 @@ class SystemResult:
         Unversioned payloads are accepted as schema 1; unknown versions
         and non-object payloads raise :class:`~repro.errors.DesignError`.
         """
-        if not isinstance(payload, Mapping):
-            raise DesignError(
-                f"result payload must be a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        schema = payload.get("schema", RESULT_SCHEMA)
-        if schema != RESULT_SCHEMA:
-            raise DesignError(
-                f"unsupported result schema {schema!r} "
-                f"(this library reads schema {RESULT_SCHEMA})"
-            )
-        cfg = payload.get("config", {})
+        check_document(payload, "result", RESULT_SCHEMA)
         return cls(
-            config=SystemConfig(
-                clock_hz=float(cfg.get("clock_hz", 4e6)),
-                watchdog_s=float(cfg.get("watchdog_s", 320.0)),
-                tx_interval_s=float(cfg.get("tx_interval_s", 5.0)),
-            ),
+            config=SystemConfig.from_payload(payload.get("config", {})),
             horizon=float(payload.get("horizon", 0.0)),
             transmissions=int(payload.get("transmissions", 0)),
             breakdown=EnergyBreakdown.from_payload(payload.get("breakdown", {})),
@@ -209,25 +195,21 @@ class SystemResult:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """JSON text of :meth:`to_payload`."""
-        return json.dumps(self.to_payload(), indent=indent, sort_keys=True)
+        return format_json(self.to_payload(), indent)
 
     @classmethod
     def from_json(cls, text: str) -> "SystemResult":
         """Parse :meth:`to_json` output."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DesignError(f"result file is not valid JSON: {exc}") from exc
-        return cls.from_payload(payload)
+        return cls.from_payload(parse_json(text, "result file"))
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the result to a JSON file."""
-        Path(path).write_text(self.to_json() + "\n")
+        write_json(path, self.to_payload())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SystemResult":
         """Read a result from a JSON file."""
-        return cls.from_json(Path(path).read_text())
+        return cls.from_payload(read_json(path, "result file"))
 
     def summary(self) -> str:
         """Multi-line human-readable report."""

@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.documents import check_document
 from repro.errors import ConfigError, DesignError, ModelError
 from repro.rng import SeedLike, derive_seed, ensure_rng
 from repro.scenario import PartsSpec, Scenario
@@ -438,12 +439,7 @@ def manifest_scenarios(payload: Mapping) -> List[Scenario]:
         raise DesignError(
             "payload is not a scenario manifest (no 'scenarios' list)"
         )
-    schema = payload.get("schema", MANIFEST_SCHEMA)
-    if schema != MANIFEST_SCHEMA:
-        raise DesignError(
-            f"unsupported manifest schema {schema!r} "
-            f"(this library reads schema {MANIFEST_SCHEMA})"
-        )
+    check_document(payload, "manifest", MANIFEST_SCHEMA)
     return [Scenario.from_dict(entry) for entry in payload["scenarios"]]
 
 

@@ -317,6 +317,25 @@ class TestStudyExecution:
         assert journaled == study.status().total
         assert journaled < 17 + 1  # 15 distinct ccd points + original
 
+    @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "sharded"])
+    def test_gc_orphans_keeps_journaled_study_rows(self, tmp_path, sharded):
+        from repro.store import ShardedResultStore
+
+        store = (
+            ShardedResultStore(tmp_path / "shards", shards=3)
+            if sharded
+            else ResultStore(tmp_path / "plain.db")
+        )
+        study = Study(
+            _tiny_spec(horizon=300.0, optimizers=("random",)), store=store
+        )
+        study.run()
+        total = study.status().total
+        # Only the optimum's verification run is in no journal.
+        assert len(store) == total + 1
+        assert store.gc(orphans=True) == 1
+        assert study.status().done == total
+
     def test_resume_unknown_name(self, store):
         with pytest.raises(ConfigError, match="unknown study"):
             Study.resume(store, "missing")

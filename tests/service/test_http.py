@@ -202,6 +202,22 @@ def test_malformed_submissions_are_400s_with_library_messages(served):
     assert status == 400 and "sorcery" in _json(raw)["error"]
 
 
+@pytest.mark.parametrize(
+    "options, expected, message",
+    [(None, 201, None), ([1], 400, "scenario options must be a JSON object")],
+    ids=["null", "list"],
+)
+def test_scenario_options_null_means_none(served, options, expected, message):
+    from repro.scenario import named_scenario
+
+    payload = named_scenario("low-vibration").to_dict()
+    payload["options"] = options
+    status, _, raw = _call(served.url, "POST", "/v1/jobs", body=payload)
+    assert status == expected
+    if message is not None:
+        assert message in _json(raw)["error"]
+
+
 def test_oversized_body_is_a_400(served):
     import http.client
 

@@ -338,8 +338,9 @@ def test_one_default_campaign_name_per_manifest(tmp_path, capsys, edits, expecte
             "manifest",
         ),
         (["report", "BAD"], "report file"),
+        (["study", "run", "BAD", "--store", "DB"], "study file"),
     ],
-    ids=["campaign-run", "coord-run", "report"],
+    ids=["campaign-run", "coord-run", "report", "study-run"],
 )
 def test_invalid_json_is_an_error(tmp_path, capsys, argv, what):
     bad = tmp_path / "bad.json"
@@ -360,8 +361,9 @@ def test_invalid_json_is_an_error(tmp_path, capsys, argv, what):
         ),
         (["report", "IN"], "report file"),
         (["run-scenario", "IN"], "scenario file"),
+        (["study", "run", "IN", "--store", "DB"], "study file"),
     ],
-    ids=["campaign-run", "coord-run", "report", "run-scenario"],
+    ids=["campaign-run", "coord-run", "report", "run-scenario", "study-run"],
 )
 def test_missing_input_file_is_an_error(tmp_path, capsys, argv, what):
     bad = tmp_path / "bad.json"
@@ -376,3 +378,29 @@ def test_missing_input_file_is_an_error(tmp_path, capsys, argv, what):
         assert capsys.readouterr().err.startswith(f"error: {message}")
         # A refused command writes nothing.
         assert not db.exists()
+
+
+def test_report_of_an_unknown_document_is_an_error(tmp_path, capsys):
+    path = tmp_path / "foo.json"
+    path.write_text('{"foo": 1}')
+    assert main(["report", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ([], "must be a JSON object"),
+        (_floor_manifest(partition=1), "partition request"),
+    ],
+    ids=["list", "partition"],
+)
+def test_refused_coord_manifest_creates_no_store(tmp_path, capsys, manifest, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    db = tmp_path / "x.db"
+    argv = ["coord", "run", str(path), "--workers", "http://127.0.0.1:9",
+            "--store", str(db)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not db.exists()
