@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# End-to-end smoke checks of the installed package (CLI, studies, the
-# vectorized engine, the HTTP service, telemetry, sharded stores and the
-# coordinator).  Needs `repro-wsn` on PATH, `repro` importable by
-# `python`, curl, and free local ports 8080, 8081 and 8091-8094.
+# End-to-end smoke checks of the installed package (CLI, result schemas,
+# studies, the vectorized engine, the HTTP service, telemetry, sharded
+# stores and the coordinator).  Needs `repro-wsn` on PATH, `repro`
+# importable by `python`, curl, free local ports 8080, 8081 and
+# 8091-8094, and the checkout's tests/fixtures directory.
 # Usage: bash ci/smoke.sh
 set -Eeuo pipefail
 trap 'echo "smoke: failed at line $LINENO: $BASH_COMMAND" >&2' ERR
 WORK=$(mktemp -d)
+FIXTURES=$(cd "$(dirname "$0")/../tests/fixtures" && pwd)
 
 # On exit, stop every background server or run, also after a failure.
 cleanup() {
@@ -122,6 +124,38 @@ section_cli() {
     --store refused.db 2> refused.err || code=$?
   if [ "$code" -ne 1 ] || [ -e refused.db ]; then exit 1; fi
   grep -q "error: the campaign manifest must be a JSON object" refused.err
+  code=0
+  repro-wsn coord run manifest.json --workers http://127.0.0.1:9 \
+    --store refused.db --max-attempts 0 2> refused.err || code=$?
+  if [ "$code" -ne 1 ] || [ -e refused.db ]; then exit 1; fi
+  grep -q "error: max_attempts must be >= 1" refused.err
+}
+
+section_schema() {
+  # A result file written under schema 1 (decimal trace lists) reports
+  # exactly like a fresh schema-2 run of the same scenario.
+  python -c 'from dataclasses import replace
+from repro.scenario import named_scenario
+replace(named_scenario("paper"), horizon=60.0).save("paper-60s.json")'
+  repro-wsn report "$FIXTURES/result-schema1-paper-60s.json" > old.txt
+  repro-wsn run-scenario paper-60s.json --store new.db --out new.json
+  repro-wsn report new.json > new.txt
+  diff old.txt new.txt
+  # A store holding the schema-1 row of the same key merges into the
+  # schema-2 store with 0 conflicts.
+  repro-wsn run-scenario paper-60s.json --store old.db
+  python - "$FIXTURES/result-schema1-paper-60s.json" <<'EOF'
+import json, sqlite3, sys
+from repro.documents import canonical_json
+row = canonical_json(json.load(open(sys.argv[1])))
+with sqlite3.connect("old.db") as conn:
+    assert conn.execute("UPDATE results SET payload=?", (row,)).rowcount == 1
+EOF
+  repro-wsn store merge new.db old.db --dry-run | tee dry.txt
+  if grep -q REFUSES dry.txt; then exit 1; fi
+  repro-wsn store merge new.db old.db | tee merge.txt
+  grep -q "0 row(s) imported, 1 already present" merge.txt
+  repro-wsn store sync old.db new.db
 }
 
 section_study() {
@@ -351,8 +385,8 @@ section_coord() {
   stop "$w1"
 }
 
-for section in section_cli section_study section_vectorized section_service \
-  section_obs section_shard section_coord; do
+for section in section_cli section_schema section_study section_vectorized \
+  section_service section_obs section_shard section_coord; do
   echo "== $section"
   mkdir "$WORK/$section"
   cd "$WORK/$section"

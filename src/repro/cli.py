@@ -1351,7 +1351,14 @@ def _cmd_coord(args) -> int:
         # Every store-free check first, so a refused run creates no store.
         payload = read_json(args.manifest, "manifest")
         workers = [u.strip() for u in args.workers.split(",") if u.strip()]
-        check_coordination(payload, workers, args.name, args.partitions)
+        options = {}
+        if args.stall_timeout is not None:
+            options["stall_timeout_s"] = args.stall_timeout
+        if args.max_attempts is not None:
+            options["max_attempts"] = args.max_attempts
+        check_coordination(payload, workers, args.name, args.partitions, **options)
+        if args.poll is not None:
+            options["poll_interval_s"] = args.poll
     store = _open_store(args.store)
     if args.coord_command == "status":
         if args.name is not None:
@@ -1364,13 +1371,6 @@ def _cmd_coord(args) -> int:
             print(coord_status(store, name).summary())
         return 0
     if args.coord_command == "run":
-        options = {}
-        if args.poll is not None:
-            options["poll_interval_s"] = args.poll
-        if args.stall_timeout is not None:
-            options["stall_timeout_s"] = args.stall_timeout
-        if args.max_attempts is not None:
-            options["max_attempts"] = args.max_attempts
         coordinator = Coordinator(
             store,
             payload,

@@ -209,12 +209,19 @@ def check_coordination(
     workers: List[str],
     name: Optional[str] = None,
     partitions: Optional[int] = None,
+    stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> Tuple[List[str], List[Scenario], str, List[Tuple[int, int]]]:
     """Every store-free check of a coordinated run (worker URLs,
-    manifest, name, partition count); returns ``(worker_urls, scenarios,
-    name, slices)``.  ``coord run`` calls it before opening ``--store``,
-    so a refused manifest creates no store.
+    manifest, name, partition count, stall timeout, attempt budget);
+    returns ``(worker_urls, scenarios, name, slices)``.  ``coord run``
+    calls it before opening ``--store``, so a refused run creates no
+    store.
     """
+    if max_attempts < 1:
+        raise ConfigError("max_attempts must be >= 1")
+    if stall_timeout_s <= 0:
+        raise ConfigError("stall timeout must be positive")
     worker_urls = [str(url).rstrip("/") for url in workers if str(url).strip()]
     if not worker_urls:
         raise ConfigError("the coordinator needs at least one worker URL")
@@ -289,12 +296,8 @@ class Coordinator:
         sleep: Callable[[float], None] = time.sleep,
     ):
         worker_urls, scenarios, self.name, self._slices = check_coordination(
-            manifest, workers, name, partitions
+            manifest, workers, name, partitions, stall_timeout_s, max_attempts
         )
-        if max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if stall_timeout_s <= 0:
-            raise ConfigError("stall timeout must be positive")
 
         self.store = store
         self.manifest = dict(manifest)

@@ -22,22 +22,29 @@ from repro.errors import ConfigError, DesignError
 _JSON_SCALARS = (bool, int, float, str, type(None))
 
 
-def check_document(payload: object, what: str, schema: int) -> None:
+def check_document(
+    payload: object, what: str, schema: int, oldest: Optional[int] = None
+) -> int:
     """Refuse ``payload`` unless it is a JSON object of a readable schema.
 
-    An unversioned object counts as ``schema``; another version or a
-    non-object raises ``DesignError`` naming ``what``.
+    Versions ``oldest`` (default ``schema``) through ``schema`` are
+    readable, and an unversioned object counts as ``oldest``; another
+    version or a non-object raises ``DesignError`` naming ``what``.
+    Returns the payload's version.
     """
     if not isinstance(payload, Mapping):
         raise DesignError(
             f"{what} payload must be a JSON object, got {type(payload).__name__}"
         )
-    found = payload.get("schema", schema)
-    if found != schema:
+    oldest = schema if oldest is None else oldest
+    found = payload.get("schema", oldest)
+    if found not in range(oldest, schema + 1):
+        readable = schema if oldest == schema else f"{oldest} to {schema}"
         raise DesignError(
             f"unsupported {what} schema {found!r} "
-            f"(this library reads schema {schema})"
+            f"(this library reads schema {readable})"
         )
+    return found
 
 
 def check_options(label: str, options: Optional[Mapping]) -> Dict[str, object]:

@@ -134,6 +134,11 @@ class Scenario:
     backend: str = "envelope"
     options: Mapping[str, object] = field(default_factory=dict)
     name: str = field(default="", compare=False)
+    #: :meth:`cache_key`'s memo: not an argument, never compared, hashed,
+    #: shown, pickled or serialised, and fresh in every ``replace()``.
+    _cache_key: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         # Normalise numpy scalars (np.int64 seeds from rng.integers are
@@ -151,6 +156,10 @@ class Scenario:
 
     def __hash__(self) -> int:
         return hash(self.cache_key())
+
+    def __getstate__(self) -> dict:
+        # A pickled copy derives its own key on first use.
+        return {**self.__dict__, "_cache_key": None}
 
     # -- derived values -------------------------------------------------------
 
@@ -231,11 +240,15 @@ class Scenario:
 
         The cosmetic ``name`` label is excluded (as it is from ``==``),
         so re-labelled copies of the same simulation dedupe and hit the
-        batch cache.
+        batch cache.  The scenario is frozen, so the hash is computed
+        once per instance.
         """
-        payload = self.to_dict()
-        del payload["name"]
-        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+        if self._cache_key is None:
+            payload = self.to_dict()
+            del payload["name"]
+            key = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+            object.__setattr__(self, "_cache_key", key)
+        return self._cache_key
 
 
 # -- named scenario library ---------------------------------------------------

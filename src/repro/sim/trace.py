@@ -4,17 +4,27 @@
 :class:`TraceSet` groups traces from a simulation run and exports them to
 CSV for the figure-regeneration benches (Fig. 5 of the paper is produced
 from such a trace of the supercapacitor voltage).
+
+:meth:`TraceSet.to_payload` and :meth:`TraceSet.from_payload` are the
+only code that knows how traces are encoded in result payloads.  Result
+schema 2 writes every column as base64 of little-endian float64 and
+each distinct time vector once; schema 1 (decimal lists, one time list
+per trace) is still read.
 """
 
 from __future__ import annotations
 
+import base64
 import bisect
 import io
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
+
+#: Sample columns are exact little-endian float64.
+_COLUMN = np.dtype("<f8")
 
 
 class Trace:
@@ -91,28 +101,6 @@ class Trace:
             out[bad] = [self.at(t) for t in grid[bad]]
         return out
 
-    def to_payload(self) -> dict:
-        """Plain-JSON representation (parallel time/value lists)."""
-        return {
-            "times": [float(t) for t in self._times],
-            "values": [float(v) for v in self._values],
-        }
-
-    @classmethod
-    def from_payload(cls, name: str, payload: dict) -> "Trace":
-        """Rebuild a trace from :meth:`to_payload` output."""
-        times = payload.get("times", [])
-        values = payload.get("values", [])
-        if len(times) != len(values):
-            raise SimulationError(
-                f"trace {name!r} payload has {len(times)} times "
-                f"but {len(values)} values"
-            )
-        trace = cls(name)
-        for t, v in zip(times, values):
-            trace.append(float(t), float(v))
-        return trace
-
     def min(self) -> float:
         """Smallest recorded value."""
         return float(np.min(self.values))
@@ -181,36 +169,69 @@ class TraceSet:
         return sorted(self._traces)
 
     def to_payload(self) -> dict:
-        """Plain-JSON representation of every trace.
+        """Plain-JSON representation of every trace (result schema 2).
 
-        Aliased names (see :meth:`alias`) are stored as ``{"alias": ...}``
-        references to the first name that owns the samples, so shared
-        traces stay shared after a round-trip and payloads carry each
-        sample list once.
+        Each trace's ``"values"`` is base64 of its samples as
+        little-endian float64.  The alphabetically first trace with a
+        given time vector carries it as ``"times"`` (same encoding); a
+        later trace with bit-identical times names that trace in
+        ``"times_of"`` instead.  Aliased names (see :meth:`alias`) are
+        ``{"alias": ...}`` references to the first name that owns the
+        samples, so shared traces stay shared after a round-trip and
+        payloads carry each sample column once.
         """
         payload: Dict[str, dict] = {}
         owner_by_id: Dict[int, str] = {}
+        owner_by_times: Dict[bytes, str] = {}
         for name in self.names():
             trace = self._traces[name]
-            owner = owner_by_id.get(id(trace))
-            if owner is None:
-                owner_by_id[id(trace)] = name
-                payload[name] = trace.to_payload()
-            else:
+            owner = owner_by_id.setdefault(id(trace), name)
+            if owner != name:
                 payload[name] = {"alias": owner}
+                continue
+            times = np.asarray(trace._times, dtype=_COLUMN).tobytes()
+            values = np.asarray(trace._values, dtype=_COLUMN).tobytes()
+            entry = {"values": _encode(values)}
+            owner = owner_by_times.setdefault(times, name)
+            if owner == name:
+                entry["times"] = _encode(times)
+            else:
+                entry["times_of"] = owner
+            payload[name] = entry
         return payload
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, dict]) -> "TraceSet":
-        """Rebuild a trace set from :meth:`to_payload` output."""
+    def from_payload(cls, payload: Dict[str, dict], schema: int = 2) -> "TraceSet":
+        """Rebuild a trace set from :meth:`to_payload` output.
+
+        ``schema`` is the result schema the payload was written under;
+        schema 1 traces hold parallel decimal ``"times"``/``"values"``
+        lists.  Decoded samples obey :meth:`Trace.append`'s rules: a
+        length mismatch or a time going backwards raises
+        :class:`~repro.errors.SimulationError`, and equal times keep the
+        last value.
+        """
+        column, empty = (_floats, []) if schema == 1 else (_decode, "")
+        times = {
+            name: column(name, entry.get("times", empty))
+            for name, entry in payload.items()
+            if "alias" not in entry and "times_of" not in entry
+        }
         traces = cls()
         aliases = []
         for name in sorted(payload):
             entry = payload[name]
             if "alias" in entry:
                 aliases.append((name, entry["alias"]))
-            else:
-                traces._traces[name] = Trace.from_payload(name, entry)
+                continue
+            owner = entry.get("times_of", name)
+            if owner not in times:
+                raise SimulationError(
+                    f"trace {name!r} takes its times from {owner!r}, "
+                    f"which carries none"
+                )
+            values = column(name, entry.get("values", empty))
+            traces._traces[name] = _column_trace(name, times[owner], values)
         for name, existing in aliases:
             traces.alias(name, existing)
         return traces
@@ -225,3 +246,49 @@ class TraceSet:
             row = ",".join(f"{col[i]:.9g}" for col in columns)
             buf.write(f"{t:.9g},{row}\n")
         return buf.getvalue()
+
+
+def _encode(column: bytes) -> str:
+    """Base64 text of a float64 column's bytes."""
+    return base64.b64encode(column).decode("ascii")
+
+
+def _decode(name: str, text: str) -> np.ndarray:
+    """The float64 column that :func:`_encode` wrote as ``text``."""
+    try:
+        return np.frombuffer(base64.b64decode(text, validate=True), dtype=_COLUMN)
+    except (TypeError, ValueError) as exc:
+        raise SimulationError(
+            f"trace {name!r} payload column is not base64 float64: {exc}"
+        ) from exc
+
+
+def _floats(name: str, samples: Sequence[float]) -> np.ndarray:
+    """A schema-1 decimal list as a float64 column."""
+    return np.fromiter(map(float, samples), dtype=float, count=len(samples))
+
+
+def _column_trace(name: str, times: np.ndarray, values: np.ndarray) -> Trace:
+    """A trace of ``times``/``values`` built by :meth:`Trace.append`'s rules."""
+    if len(times) != len(values):
+        raise SimulationError(
+            f"trace {name!r} payload has {len(times)} times "
+            f"but {len(values)} values"
+        )
+    backwards = np.flatnonzero(times[1:] < times[:-1])
+    if backwards.size:
+        i = int(backwards[0]) + 1
+        raise SimulationError(
+            f"trace {name!r}: time went backwards "
+            f"({float(times[i])!r} < {float(times[i - 1])!r})"
+        )
+    same = times[1:] == times[:-1]
+    if same.any():
+        # A run of equal times is one sample: append keeps the run's
+        # first time and its last value.
+        times = times[np.concatenate(([True], ~same))]
+        values = values[np.concatenate((~same, [True]))]
+    trace = Trace(name)
+    trace._times = times.tolist()
+    trace._values = values.tolist()
+    return trace

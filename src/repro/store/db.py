@@ -55,7 +55,7 @@ from repro.errors import ConfigError, DesignError, StoreError
 from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.scenario import Scenario
-from repro.system.result import SystemResult
+from repro.system.result import SystemResult, same_result
 
 #: Store operation telemetry: counts and latency per primitive.  The
 #: ``hit`` label on ``get`` distinguishes a served row from a miss.
@@ -184,6 +184,8 @@ RESULT_COLUMNS = (
     "created_at", "created_unix",
 )
 _RAW_SELECT = ", ".join(RESULT_COLUMNS)
+_SCENARIO = RESULT_COLUMNS.index("scenario")
+_PAYLOAD = RESULT_COLUMNS.index("payload")
 _INSERT_RESULT = (
     f"INSERT OR IGNORE INTO results ({_RAW_SELECT}) "
     f"VALUES ({','.join('?' * len(RESULT_COLUMNS))})"
@@ -227,6 +229,21 @@ def shard_index(key: str, n_shards: int) -> int:
     except ValueError:
         prefix = zlib.crc32(key.encode("utf-8"))
     return prefix % n_shards
+
+
+def diverging_columns(held: Tuple, row: Tuple) -> List[str]:
+    """The columns in which raw ``row`` disagrees with the ``held`` row
+    of the same key: ``"scenario"`` unless the bytes are equal,
+    ``"payload"`` unless :func:`~repro.system.result.same_result` says
+    the payloads agree (equal bytes, or a result written under an
+    older schema that re-encodes to the other's exact bytes).
+    """
+    diverged = []
+    if held[_SCENARIO] != row[_SCENARIO]:
+        diverged.append("scenario")
+    if not same_result(held[_PAYLOAD], row[_PAYLOAD]):
+        diverged.append("payload")
+    return diverged
 
 
 def _in_chunks(keys: List[str]) -> Iterator[Tuple[str, List[str]]]:
@@ -605,9 +622,9 @@ class ResultStore:
         First writer wins, but a key collision with *different*
         canonical bytes (scenario or payload) is a hard
         :class:`~repro.errors.StoreError` -- content-addressed rows may
-        only ever collide identically.  ``source`` labels where the row
-        came from in that error.  Returns ``True`` when this call
-        inserted the row.
+        only ever collide identically (see :func:`diverging_columns`).
+        ``source`` labels where the row came from in that error.
+        Returns ``True`` when this call inserted the row.
         """
         if len(row) != len(RESULT_COLUMNS):
             raise StoreError(
@@ -617,25 +634,15 @@ class ResultStore:
         shard = self._shard_for(str(row[0]))
         with shard._transaction() as conn:
             cursor = conn.execute(_INSERT_RESULT, tuple(row))
-            existing = None
+            held = None
             if cursor.rowcount != 1:
-                existing = conn.execute(
-                    "SELECT scenario, payload FROM results WHERE key=?",
-                    (row[0],),
+                held = conn.execute(
+                    f"SELECT {_RAW_SELECT} FROM results WHERE key=?", (row[0],)
                 ).fetchone()
-        if existing is None:
+        if held is None:
             return True
-        scenario_idx = RESULT_COLUMNS.index("scenario")
-        payload_idx = RESULT_COLUMNS.index("payload")
-        if (row[scenario_idx], row[payload_idx]) != tuple(existing):
-            diverged = [
-                label
-                for label, mine, theirs in (
-                    ("scenario", existing[0], row[scenario_idx]),
-                    ("payload", existing[1], row[payload_idx]),
-                )
-                if mine != theirs
-            ]
+        diverged = diverging_columns(held, row)
+        if diverged:
             raise StoreError(
                 f"result {row[0]} in {shard.path} and "
                 f"{source or 'the incoming row'} share a content key but "

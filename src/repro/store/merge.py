@@ -6,6 +6,9 @@ trivially mergeable: copy the rows the destination lacks, verify that
 rows both sides hold are *byte-identical*, and refuse loudly when they
 are not (:class:`~repro.errors.StoreError` -- diverging bytes under one
 content key mean corruption or non-determinism, never a policy choice).
+The one exception is a result schema change: a row written under an
+older schema agrees with a current one when it re-encodes to the same
+bytes (:func:`~repro.store.db.diverging_columns`).
 
 :func:`merge_stores` copies raw rows (exact canonical bytes *and*
 provenance columns) from a source store into a destination;
@@ -30,7 +33,7 @@ from repro.errors import StoreError
 from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.obs.trace import span
-from repro.store.db import RESULT_COLUMNS, ResultStore
+from repro.store.db import ResultStore, diverging_columns
 
 #: Store-merge telemetry: rows moved (or found identical) per merge.
 _MERGE_ROWS = _obs_metrics().counter(
@@ -189,21 +192,16 @@ def _dry_run_report(
     dest: ResultStore, source: ResultStore, journals: bool
 ) -> MergeReport:
     """What :func:`merge_stores` would do, computed read-only."""
-    scenario_idx = RESULT_COLUMNS.index("scenario")
-    payload_idx = RESULT_COLUMNS.index("payload")
     imported = identical = 0
     conflicts = []
     for row in source.iter_raw():
         held = dest.get_raw(row[0])
         if held is None:
             imported += 1
-        elif (held[scenario_idx], held[payload_idx]) == (
-            row[scenario_idx],
-            row[payload_idx],
-        ):
-            identical += 1
-        else:
+        elif diverging_columns(held, row):
             conflicts.append(str(row[0]))
+        else:
+            identical += 1
     campaigns = studies = shared_campaigns = shared_studies = 0
     journal_conflicts = []
     if journals:

@@ -15,19 +15,25 @@ from typing import List, Mapping, Optional, Tuple, Union
 
 from repro.control.session import SessionResult
 from repro.documents import (
+    canonical_json,
     check_document,
     format_json,
     parse_json,
     read_json,
     write_json,
 )
+from repro.errors import ReproError
 from repro.sim.trace import TraceSet
 from repro.system.config import SystemConfig
 
 #: Version stamp written into every result JSON payload.  Bump when the
 #: layout changes incompatibly; ``SystemResult.from_payload`` (and hence
-#: the on-disk result store) refuses unknown versions.
-RESULT_SCHEMA = 1
+#: the on-disk result store) refuses unknown versions.  Schema 2 encodes
+#: traces as exact float64 columns (see :meth:`TraceSet.to_payload`);
+#: schema 1, whose traces are decimal lists, is still read.
+RESULT_SCHEMA = 2
+#: The oldest result schema :meth:`SystemResult.from_payload` reads.
+OLDEST_RESULT_SCHEMA = 1
 
 
 @dataclass
@@ -175,16 +181,19 @@ class SystemResult:
     def from_payload(cls, payload: Mapping) -> "SystemResult":
         """Rebuild a result from :meth:`to_payload` output.
 
-        Unversioned payloads are accepted as schema 1; unknown versions
-        and non-object payloads raise :class:`~repro.errors.DesignError`.
+        Schemas 1 and 2 are read, and unversioned payloads count as
+        schema 1; unknown versions and non-object payloads raise
+        :class:`~repro.errors.DesignError`.
         """
-        check_document(payload, "result", RESULT_SCHEMA)
+        schema = check_document(
+            payload, "result", RESULT_SCHEMA, oldest=OLDEST_RESULT_SCHEMA
+        )
         return cls(
             config=SystemConfig.from_payload(payload.get("config", {})),
             horizon=float(payload.get("horizon", 0.0)),
             transmissions=int(payload.get("transmissions", 0)),
             breakdown=EnergyBreakdown.from_payload(payload.get("breakdown", {})),
-            traces=TraceSet.from_payload(payload.get("traces", {})),
+            traces=TraceSet.from_payload(payload.get("traces", {}), schema),
             tuning_events=[
                 TuningEvent.from_payload(ev)
                 for ev in payload.get("tuning_events", [])
@@ -225,3 +234,31 @@ class SystemResult:
             lines.append(f"  {label:<22s} {joules * 1e3:10.2f}")
         lines.append(f"  imbalance              {self.breakdown.imbalance() * 1e3:10.5f}")
         return "\n".join(lines)
+
+
+def same_result(held: str, incoming: str) -> bool:
+    """Whether two stored payload texts of one content key agree.
+
+    Equal bytes agree.  Texts of different schemas also agree when the
+    older one re-encodes (:meth:`SystemResult.from_payload`, then
+    :meth:`~SystemResult.to_payload` as canonical JSON) to exactly the
+    current-schema text, so a format change never looks like divergent
+    rows to a merge.  Anything else, including decoded values that
+    differ, disagrees.
+    """
+    if held == incoming:
+        return True
+    try:
+        docs = [parse_json(text, "result row") for text in (held, incoming)]
+        schemas = [
+            check_document(doc, "result", RESULT_SCHEMA, oldest=OLDEST_RESULT_SCHEMA)
+            for doc in docs
+        ]
+        if schemas[0] == schemas[1] or RESULT_SCHEMA not in schemas:
+            return False
+        current = schemas.index(RESULT_SCHEMA)
+        older = docs[1 - current]
+        reencoded = canonical_json(SystemResult.from_payload(older).to_payload())
+    except (ReproError, AttributeError, KeyError, TypeError, ValueError):
+        return False
+    return reencoded == (held, incoming)[current]

@@ -388,19 +388,23 @@ def test_report_of_an_unknown_document_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "manifest, message",
+    "manifest, flags, message",
     [
-        ([], "must be a JSON object"),
-        (_floor_manifest(partition=1), "partition request"),
+        ([], [], "must be a JSON object"),
+        (_floor_manifest(partition=1), [], "partition request"),
+        (_floor_manifest(), ["--max-attempts", "0"], "max_attempts must be >= 1"),
+        (_floor_manifest(), ["--stall-timeout", "0"], "stall timeout must be positive"),
     ],
-    ids=["list", "partition"],
+    ids=["list", "partition", "max-attempts-0", "stall-timeout-0"],
 )
-def test_refused_coord_manifest_creates_no_store(tmp_path, capsys, manifest, message):
+def test_refused_coord_manifest_creates_no_store(
+    tmp_path, capsys, manifest, flags, message
+):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(manifest))
     db = tmp_path / "x.db"
     argv = ["coord", "run", str(path), "--workers", "http://127.0.0.1:9",
-            "--store", str(db)]
+            "--store", str(db), *flags]
     assert main(argv) == 1
     assert message in capsys.readouterr().err
     assert not db.exists()

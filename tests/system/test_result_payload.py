@@ -1,14 +1,24 @@
 """SystemResult JSON round-trip: the canonical persisted form."""
 
+import base64
+import json
+import struct
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.backends import run
+from repro.documents import canonical_json
 from repro.errors import DesignError, SimulationError
 from repro.scenario import Scenario, named_scenario
-from repro.sim.trace import Trace, TraceSet
+from repro.sim.trace import TraceSet
 from repro.system.result import RESULT_SCHEMA, EnergyBreakdown, SystemResult
+
+
+def _b64(*samples: float) -> str:
+    """A schema-2 trace column: base64 of little-endian float64."""
+    return base64.b64encode(struct.pack(f"<{len(samples)}d", *samples)).decode()
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +99,9 @@ def test_energy_breakdown_round_trip():
 
 def test_trace_payload_length_mismatch_rejected():
     with pytest.raises(SimulationError):
-        Trace.from_payload("bad", {"times": [0.0, 1.0], "values": [1.0]})
+        TraceSet.from_payload({"bad": {"times": [0.0, 1.0], "values": [1.0]}}, 1)
+    with pytest.raises(SimulationError):
+        TraceSet.from_payload({"bad": {"times": _b64(0.0, 1.0), "values": _b64(1.0)}})
 
 
 def test_traceset_alias_round_trip():
@@ -101,7 +113,30 @@ def test_traceset_alias_round_trip():
     payload = traces.to_payload()
     # The alphabetically first name owns the samples; the other aliases.
     assert payload["native"] == {"alias": "canonical"}
-    assert payload["canonical"] == {"times": [0.0, 1.0], "values": [1.0, 2.0]}
+    assert payload["canonical"] == {"times": _b64(0.0, 1.0), "values": _b64(1.0, 2.0)}
     rebuilt = TraceSet.from_payload(payload)
     assert rebuilt["canonical"] is rebuilt["native"]
     assert list(rebuilt["native"].values) == [1.0, 2.0]
+
+
+#: ``run-scenario --out`` of the paper scenario at a 60 s horizon, as
+#: written by the schema-1 encoder (decimal trace lists).
+SCHEMA1_FIXTURE = (
+    Path(__file__).resolve().parents[1] / "fixtures" / "result-schema1-paper-60s.json"
+)
+
+
+def test_schema1_result_file_loads_with_the_values_of_a_fresh_run():
+    assert json.loads(SCHEMA1_FIXTURE.read_text())["schema"] == 1
+    loaded = SystemResult.load(SCHEMA1_FIXTURE)
+    fresh = run(replace(named_scenario("paper"), horizon=60.0))
+    assert loaded.summary() == fresh.summary()
+    assert loaded.traces.names() == fresh.traces.names()
+    for name in fresh.traces.names():
+        for column in ("times", "values"):
+            mine = getattr(loaded.traces[name], column)
+            theirs = getattr(fresh.traces[name], column)
+            assert mine.tobytes() == theirs.tobytes(), (name, column)
+    # Re-encoded, the old file is exactly the fresh run's schema-2 payload.
+    assert loaded.to_payload()["schema"] == RESULT_SCHEMA == 2
+    assert canonical_json(loaded.to_payload()) == canonical_json(fresh.to_payload())

@@ -87,6 +87,34 @@ def test_name_is_cosmetic_for_equality_and_cache():
     assert Scenario.from_json(b.to_json()).name == "other-label"
 
 
+def test_cache_key_memo_is_never_carried():
+    """The memoised key stays on its instance: replace(), pickling and
+    to_dict() never carry it, and it plays no part in ==, hash or repr."""
+    import copy
+    import pickle
+    from dataclasses import replace
+
+    a = _sample_scenario()
+    fresh = repr(a)
+    key = a.cache_key()
+    assert a._cache_key == key
+    assert repr(a) == fresh and "_cache_key" not in fresh
+    assert a == _sample_scenario() and hash(a) == hash(_sample_scenario())
+    assert "_cache_key" not in a.to_dict() and key not in a.to_json()
+
+    relabelled = replace(a, name="other")
+    reseeded = replace(a, seed=43)
+    assert relabelled._cache_key is None and reseeded._cache_key is None
+    assert relabelled.cache_key() == key
+    assert reseeded.cache_key() == _sample_scenario().with_seed(43).cache_key()
+
+    blob = pickle.dumps(a)
+    assert key.encode() not in blob
+    for back in (pickle.loads(blob), copy.copy(a), copy.deepcopy(a)):
+        assert back._cache_key is None
+        assert back == a and back.cache_key() == key
+
+
 def test_options_copied_at_construction():
     opts = {"dt_max": 1.0}
     s = Scenario(options=opts)
