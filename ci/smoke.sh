@@ -156,6 +156,25 @@ EOF
   repro-wsn store merge new.db old.db | tee merge.txt
   grep -q "0 row(s) imported, 1 already present" merge.txt
   repro-wsn store sync old.db new.db
+  # A row of a newer result schema is unreadable here, not corrupt: the
+  # merge and its dry run both exit 1 naming the schema.
+  cp old.db newer.db
+  python - <<'EOF'
+import json, sqlite3
+from repro.documents import canonical_json
+with sqlite3.connect("newer.db") as conn:
+    (text,) = conn.execute("SELECT payload FROM results").fetchone()
+    row = canonical_json(dict(json.loads(text), schema=3))
+    assert conn.execute("UPDATE results SET payload=?", (row,)).rowcount == 1
+EOF
+  local flag code
+  for flag in "" --dry-run; do
+    code=0
+    repro-wsn store merge new.db newer.db $flag 2> newer.err || code=$?
+    cat newer.err
+    if [ "$code" -ne 1 ] || grep -q corrupt newer.err; then exit 1; fi
+    grep -q "unsupported result schema 3" newer.err
+  done
 }
 
 section_study() {
@@ -334,8 +353,15 @@ section_shard() {
     --partitions 2 --partition 2 &
   wait "$p1"
   wait "$!"
+  # A partition store lists its journal under the parent campaign.
+  repro-wsn campaign status --store part1.db | tee status.txt
+  grep -q "shard-smoke@p1of2 \[partition 1/2 of shard-smoke\]" status.txt
   repro-wsn store init canonical --shards 4
-  repro-wsn store merge canonical part1.db part2.db
+  # The dry run predicts the real merge's row and journal counts.
+  repro-wsn store merge canonical part1.db part2.db --dry-run | tee dry.txt
+  repro-wsn store merge canonical part1.db part2.db | tee merge.txt
+  [ "$(grep -c "^would merge" dry.txt)" -eq 2 ]
+  diff <(sed -e 's/^would merge /merged /' -e 's/ to import,/ imported,/' dry.txt) merge.txt
   repro-wsn store stats canonical | grep "shards: 4"
   # The canonical pass simulates nothing and matches byte for byte.
   repro-wsn campaign run manifest.json --store canonical --name shard-smoke

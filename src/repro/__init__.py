@@ -61,7 +61,7 @@ lazily (``import repro`` stays cheap)::
 import importlib
 from typing import List
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 #: Public name -> defining module.  Resolved on first attribute access so
 #: ``import repro`` pulls in nothing beyond this file.
@@ -100,7 +100,6 @@ _EXPORTS = {
     "StoredResult": "repro.store",
     "StoreStats": "repro.store",
     "Campaign": "repro.store",
-    "CampaignPartition": "repro.store",
     "CampaignStatus": "repro.store",
     "campaign_names": "repro.store",
     "campaign_statuses": "repro.store",

@@ -1180,39 +1180,26 @@ def _cmd_campaign(args) -> int:
         )
     store = _open_store(args.store)
     if args.campaign_command == "run":
+        source = f"manifest {args.manifest}"
         if args.partitions is not None:
             # Distributed mode: this process owns one slice, written to
             # its own --store; 'store merge' reconstitutes the whole.
-            from repro.store import CampaignPartition, partition_scenarios
+            # The same two calls as a service partition job.
+            from repro.store import partition_name, partition_scenarios
 
-            groups = partition_scenarios(scenarios, args.partitions)
-            part = CampaignPartition(
-                campaign=name,
-                index=args.partition,
-                of=args.partitions,
-                scenarios=tuple(groups[args.partition - 1]),
-            )
+            index, of = args.partition, args.partitions
+            scenarios = partition_scenarios(scenarios, of)[index - 1]
             print(
-                f"partition {part.index}/{part.of} of {name!r}: "
-                f"{len(part.scenarios)} scenario(s) -> {args.store}"
+                f"partition {index}/{of} of {name!r}: "
+                f"{len(scenarios)} scenario(s) -> {args.store}"
             )
-            results = part.run(
-                store, jobs=max(args.jobs, 1), chunk_size=args.chunk
-            )
-            print(Campaign(store, part.name).status().summary())
-            print(
-                f"total transmissions: {sum(r.transmissions for r in results)}"
-            )
-            return 0
+            source = f"partition {index}/{of} of {name}"
+            name = partition_name(name, index, of)
         campaign = Campaign.create(
-            store,
-            name,
-            scenarios,
-            source=f"manifest {args.manifest}",
-            exist_ok=True,
+            store, name, scenarios, source=source, exist_ok=True
         )
-        before = campaign.status()
-        print(before.summary())
+        if args.partitions is None:
+            print(campaign.status().summary())
         results = campaign.run(jobs=max(args.jobs, 1), chunk_size=args.chunk)
         print(campaign.status().summary())
         print(f"total transmissions: {sum(r.transmissions for r in results)}")

@@ -7,7 +7,7 @@ loop over :func:`repro.backends.run`:
 
 - **Deterministic seeding** -- scenarios submitted with ``seed=None``
   get a per-scenario seed derived from the runner's base seed and the
-  scenario's *position in the batch* (:func:`repro.rng.derive_seed`), so
+  scenario's *position in the batch* (:func:`positional_seeds`), so
   results are identical whether the batch runs serially or on N workers.
 - **Fan-out** -- ``jobs > 1`` dispatches over ``concurrent.futures``
   (processes by default, because the simulators are pure Python and
@@ -97,6 +97,21 @@ def partition_slices(total: int, parts: int) -> List[Tuple[int, int]]:
         slices.append((start, stop))
         start = stop
     return slices
+
+
+def positional_seeds(scenarios: Sequence[Scenario], seed: int = 0) -> List[Scenario]:
+    """``scenarios`` with every ``seed=None`` entry seeded by position.
+
+    Entry ``i`` gets :func:`repro.rng.derive_seed` ``(seed, i)``, ``i``
+    counted over the *full* list.  This is the one rule behind batch,
+    campaign-journal and partition-slice seeds, so a scenario's content
+    key is the same in a batch of any worker count, in a single-store
+    campaign, and in whichever partition slice it lands.
+    """
+    return [
+        s if s.seed is not None else s.with_seed(derive_seed(seed, i))
+        for i, s in enumerate(scenarios)
+    ]
 
 
 def _run_subbatch(payload) -> List[SystemResult]:
@@ -199,19 +214,18 @@ class BatchRunner:
     def resolve_seeds(self, scenarios: Sequence[Scenario]) -> List[Scenario]:
         """Materialise ``seed=None`` entries into deterministic seeds.
 
-        The derived seed depends only on the runner's base seed and the
-        scenario's index, so a batch is reproducible for any ``jobs``.
+        The backend override applies first, then :func:`positional_seeds`
+        with the runner's base seed, so a batch is reproducible for any
+        ``jobs``.
         """
         from dataclasses import replace
 
-        resolved = []
-        for index, scenario in enumerate(scenarios):
-            if self.backend is not None and scenario.backend != self.backend:
-                scenario = replace(scenario, backend=self.backend)
-            if scenario.seed is None:
-                scenario = scenario.with_seed(derive_seed(self.seed, index))
-            resolved.append(scenario)
-        return resolved
+        if self.backend is not None:
+            scenarios = [
+                s if s.backend == self.backend else replace(s, backend=self.backend)
+                for s in scenarios
+            ]
+        return positional_seeds(scenarios, self.seed)
 
     # -- execution ---------------------------------------------------------------
 

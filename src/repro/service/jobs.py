@@ -171,10 +171,13 @@ def job_partition(payload: dict, total: int) -> Optional[Tuple[int, int]]:
     """Decode and validate a payload's ``partition`` request, if any.
 
     A campaign payload may carry ``{"partition": {"index": I, "of": N}}``
-    (``I`` 1-based) to run only its I-th of N disjoint slices -- the
-    service-side face of :meth:`~repro.store.Campaign.partition`, so N
-    workers with local shards can split one manifest and the shards
-    merge afterwards.  Returns ``(index, of)`` or ``None``.
+    (``I`` 1-based) to run only its I-th of N disjoint slices: the
+    worker runs ``partition_scenarios(scenarios, N)[I - 1]`` as campaign
+    ``NAME@pIofN`` (:func:`~repro.store.partition_scenarios`,
+    :func:`~repro.store.partition_name`), the same two calls as
+    ``campaign run --partition I --partitions N``, so N workers with
+    local shards can split one manifest and the shards merge
+    afterwards.  Returns ``(index, of)`` or ``None``.
     """
     part = payload.get("partition")
     if part is None:
@@ -620,18 +623,21 @@ class JobQueue:
         if job.kind == "study":
             row = self.store.get_study(job.name)
             keys = [] if row is None else list(row.keys)
-            names = [f"point-{i}" for i in range(len(keys))]
+            docs = None
         else:
             pairs = self.store.campaign_rows(job.name)
             keys = [key for key, _ in pairs]
-            names = [
-                json.loads(doc).get("name") or "" for _, doc in pairs
-            ]
+            docs = [doc for _, doc in pairs]
         entries = []
         for index in range(offset, min(offset + limit, len(keys))):
+            # Only this page's scenario documents are decoded.
             entry = {
                 "index": index,
-                "name": names[index],
+                "name": (
+                    f"point-{index}"
+                    if docs is None
+                    else json.loads(docs[index]).get("name") or ""
+                ),
                 "key": keys[index],
             }
             if raw:

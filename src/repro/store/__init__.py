@@ -35,9 +35,10 @@ N per-shard SQLite files behind the same API (N independent writers
 instead of one); it only routes, as a plain store is a one-shard store.
 :func:`merge_stores`/:func:`sync_stores` fold stores
 into each other with byte-identity checks, and
-:meth:`Campaign.partition` splits a campaign into disjoint slices that
-separate hosts run into their own stores (:mod:`repro.coord` drives
-that across ``serve`` workers).  On one machine, ``run(jobs=N)`` shards
+:func:`partition_scenarios` cuts a scenario list into disjoint slices
+that separate hosts run, as campaigns named :func:`partition_name`,
+into their own stores (:mod:`repro.coord` drives that across ``serve``
+workers).  On one machine, ``run(jobs=N)`` shards
 each chunk over N workers into one store::
 
     store = ShardedResultStore("results.d", shards=4)
@@ -60,7 +61,6 @@ from repro.store.db import (
 from repro.store.campaign import (
     Campaign,
     CampaignGroup,
-    CampaignPartition,
     CampaignStatus,
     campaign_names,
     campaign_statuses,
@@ -95,7 +95,6 @@ __all__ = [
     "StoreStats",
     "Campaign",
     "CampaignGroup",
-    "CampaignPartition",
     "CampaignStatus",
     "campaign_names",
     "campaign_statuses",

@@ -16,20 +16,23 @@ journal/result consistency to lose.  Kill the process at any point and
 **zero** re-simulation of anything already stored.
 
 Scenarios are journaled with concrete seeds (``seed=None`` entries get
-:func:`repro.rng.derive_seed`-derived ones at creation time), because a
-floating seed would change the content key between runs and defeat
-resumption.
+:func:`~repro.core.batch.positional_seeds` ones at creation time),
+because a floating seed would change the content key between runs and
+defeat resumption.
 
 Partitioned execution
 ---------------------
-:meth:`Campaign.partition` splits the journaled scenario list into N
-disjoint, contiguous :class:`CampaignPartition` slices; each runs as an
-ordinary sub-campaign (``<name>@p<i>of<N>``) against whatever store its
-process holds locally -- typically a scratch file or shard on its own
-machine -- and :func:`~repro.store.merge.merge_stores` folds the rows
-back into the canonical store afterwards.  Seeds are resolved over the
-*full* list before slicing, so a partitioned run journals exactly the
-content keys a single-store run would, and the final
+A partition is a plain slice: :func:`partition_scenarios` seeds the
+*full* scenario list, then cuts it into N disjoint, contiguous slices,
+and slice I runs as an ordinary campaign named
+:func:`partition_name` ``(name, I, N)`` (``<name>@p<I>of<N>``) against
+whatever store its process holds locally -- typically a scratch file or
+shard on its own machine.  ``campaign run --partition I --partitions N``
+and a service job carrying ``{"partition": {"index": I, "of": N}}``
+make exactly those two calls.  :func:`~repro.store.merge.merge_stores`
+folds the rows back into the canonical store afterwards; because the
+seeds were resolved before slicing, a partitioned run journals exactly
+the content keys a single-store run would, and the final
 ``Campaign.run()`` against the merged store re-simulates **nothing**.
 :mod:`repro.coord` drives that cycle across hosts; on one machine,
 ``run(jobs=N)`` already fans each chunk out over N workers into the one
@@ -43,10 +46,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.batch import BatchRunner, partition_slices
+from repro.core.batch import BatchRunner, partition_slices, positional_seeds
 from repro.errors import ConfigError
 from repro.obs.trace import span
-from repro.rng import derive_seed
 from repro.scenario import Scenario
 from repro.store.db import ResultStore, canonical_json
 from repro.system.result import SystemResult
@@ -119,9 +121,9 @@ class Campaign:
         """Journal ``scenarios`` as campaign ``name`` in ``store``.
 
         ``seed=None`` scenarios get deterministic per-position seeds
-        derived from ``seed`` (exactly like a
-        :class:`~repro.core.batch.BatchRunner` batch), so the journaled
-        content keys are stable across every later run.
+        derived from ``seed`` (:func:`~repro.core.batch.positional_seeds`,
+        exactly like a :class:`~repro.core.batch.BatchRunner` batch), so
+        the journaled content keys are stable across every later run.
 
         Re-creating an existing campaign is an error unless ``exist_ok``
         is set *and* the journaled keys match exactly (same scenarios in
@@ -133,10 +135,7 @@ class Campaign:
         scenarios = list(scenarios)
         if not scenarios:
             raise ConfigError("a campaign needs at least one scenario")
-        resolved = [
-            s if s.seed is not None else s.with_seed(derive_seed(seed, i))
-            for i, s in enumerate(scenarios)
-        ]
+        resolved = positional_seeds(scenarios, seed)
         keys = [s.cache_key() for s in resolved]
 
         # First writer wins: racing creators serialise in the store's
@@ -287,50 +286,19 @@ class Campaign:
         """Alias of :meth:`run`: continue after an interruption."""
         return self.run(jobs=jobs, chunk_size=chunk_size)
 
-    def results(self) -> List[Optional[SystemResult]]:
-        """Stored results in campaign order (``None`` where pending)."""
-        return [self.store.get(s) for s in self.scenarios()]
-
-    def export_rows(self) -> List[Tuple[Scenario, Optional[SystemResult]]]:
-        """(scenario, result-or-None) pairs in campaign order."""
-        scenarios = self.scenarios()
-        return [(s, self.store.get(s)) for s in scenarios]
-
-    # -- partitioned execution ---------------------------------------------------
-
-    def partition(self, parts: int) -> List["CampaignPartition"]:
-        """Split the journaled scenario list into ``parts`` disjoint slices.
-
-        Contiguous, near-equal slices in journal order; seeds are
-        already concrete in the journal, so every partition's content
-        keys are exactly the canonical campaign's.
-        """
-        groups = partition_scenarios(self.scenarios(), parts)
-        return [
-            CampaignPartition(
-                campaign=self.name,
-                index=i + 1,
-                of=parts,
-                scenarios=tuple(group),
-            )
-            for i, group in enumerate(groups)
-        ]
-
 
 def partition_scenarios(
     scenarios: Sequence[Scenario], parts: int, seed: int = 0
 ) -> List[List[Scenario]]:
     """Seed-resolve the *full* list, then slice it into ``parts`` groups.
 
-    Resolution happens before slicing with the same derivation
+    Resolution happens before slicing with the same
+    :func:`~repro.core.batch.positional_seeds` rule
     :meth:`Campaign.create` uses, so a scenario's content key is
     identical whether it runs in partition 3 of 4 or in one big run --
     the invariant the final merge depends on.
     """
-    resolved = [
-        s if s.seed is not None else s.with_seed(derive_seed(seed, i))
-        for i, s in enumerate(scenarios)
-    ]
+    resolved = positional_seeds(scenarios, seed)
     return [
         resolved[start:stop]
         for start, stop in partition_slices(len(resolved), parts)
@@ -360,42 +328,6 @@ def split_partition_name(name: str) -> Optional[Tuple[str, int, int]]:
         int(match.group("index")),
         int(match.group("of")),
     )
-
-
-@dataclass(frozen=True)
-class CampaignPartition:
-    """One disjoint slice of a campaign, runnable against any store.
-
-    Running it journals an ordinary sub-campaign named
-    ``<campaign>@p<index>of<of>`` in the target store, so partitions
-    inherit the full kill/resume machinery for free.
-    """
-
-    campaign: str
-    index: int  # 1-based
-    of: int
-    scenarios: Tuple[Scenario, ...]
-
-    @property
-    def name(self) -> str:
-        return partition_name(self.campaign, self.index, self.of)
-
-    def run(
-        self,
-        store: ResultStore,
-        jobs: int = 1,
-        chunk_size: Optional[int] = None,
-        on_chunk: Optional[Callable[[int, int], None]] = None,
-    ) -> List[SystemResult]:
-        """Execute this slice as a sub-campaign of ``store``."""
-        sub = Campaign.create(
-            store,
-            self.name,
-            list(self.scenarios),
-            source=f"partition {self.index}/{self.of} of {self.campaign}",
-            exist_ok=True,
-        )
-        return sub.run(jobs=jobs, chunk_size=chunk_size, on_chunk=on_chunk)
 
 
 def campaign_names(store: ResultStore) -> List[str]:

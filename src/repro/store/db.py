@@ -236,7 +236,9 @@ def diverging_columns(held: Tuple, row: Tuple) -> List[str]:
     of the same key: ``"scenario"`` unless the bytes are equal,
     ``"payload"`` unless :func:`~repro.system.result.same_result` says
     the payloads agree (equal bytes, or a result written under an
-    older schema that re-encodes to the other's exact bytes).
+    older schema that re-encodes to the other's exact bytes).  A
+    payload of a result schema this library cannot read raises the
+    ``DesignError`` naming it: such a row may be newer, not divergent.
     """
     diverged = []
     if held[_SCENARIO] != row[_SCENARIO]:
@@ -244,6 +246,22 @@ def diverging_columns(held: Tuple, row: Tuple) -> List[str]:
     if not same_result(held[_PAYLOAD], row[_PAYLOAD]):
         diverged.append("payload")
     return diverged
+
+
+def _compare_rows(held: Tuple, row: Tuple, where: object, source: str) -> List[str]:
+    """:func:`diverging_columns` for a merge of ``source`` into ``where``.
+
+    A payload this library cannot read becomes a :class:`StoreError`
+    naming the key, both stores and the schema: it is unreadable, not
+    divergent, so no merge counts it as a conflict.
+    """
+    try:
+        return diverging_columns(held, row)
+    except DesignError as exc:
+        raise StoreError(
+            f"result {row[0]} in {where} and "
+            f"{source or 'the incoming row'} cannot be compared: {exc}"
+        ) from None
 
 
 def _in_chunks(keys: List[str]) -> Iterator[Tuple[str, List[str]]]:
@@ -623,6 +641,8 @@ class ResultStore:
         canonical bytes (scenario or payload) is a hard
         :class:`~repro.errors.StoreError` -- content-addressed rows may
         only ever collide identically (see :func:`diverging_columns`).
+        A payload of a result schema this library cannot read is
+        refused too, as unreadable rather than divergent.
         ``source`` labels where the row came from in that error.
         Returns ``True`` when this call inserted the row.
         """
@@ -641,7 +661,7 @@ class ResultStore:
                 ).fetchone()
         if held is None:
             return True
-        diverged = diverging_columns(held, row)
+        diverged = _compare_rows(held, row, shard.path, source)
         if diverged:
             raise StoreError(
                 f"result {row[0]} in {shard.path} and "
@@ -996,13 +1016,6 @@ class ResultStore:
             if limit is not None:
                 rows = rows[: int(limit)]
         return rows
-
-    def iter_results(self, **filters) -> Iterator[Tuple[StoredResult, SystemResult]]:
-        """Yield (row, full result) pairs for :meth:`query` filters."""
-        for row in self.query(**filters):
-            result = self.get(row.key)
-            if result is not None:
-                yield row, result
 
     # -- export -----------------------------------------------------------------
 

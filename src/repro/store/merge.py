@@ -8,7 +8,9 @@ are not (:class:`~repro.errors.StoreError` -- diverging bytes under one
 content key mean corruption or non-determinism, never a policy choice).
 The one exception is a result schema change: a row written under an
 older schema agrees with a current one when it re-encodes to the same
-bytes (:func:`~repro.store.db.diverging_columns`).
+bytes (:func:`~repro.store.db.diverging_columns`).  A row of a schema
+this library cannot read (a newer one) is neither: the merge stops with
+a :class:`StoreError` naming that schema.
 
 :func:`merge_stores` copies raw rows (exact canonical bytes *and*
 provenance columns) from a source store into a destination;
@@ -26,14 +28,15 @@ which heartbeat) is meaningful only inside one deployment.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.errors import StoreError
 from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.obs.trace import span
-from repro.store.db import ResultStore, diverging_columns
+from repro.store.db import ResultStore, _compare_rows
 
 #: Store-merge telemetry: rows moved (or found identical) per merge.
 _MERGE_ROWS = _obs_metrics().counter(
@@ -116,18 +119,42 @@ def import_raw_rows(
     result pages land, so rows are queryable long before the campaign
     finishes.  Returns ``(imported, identical)``.
     """
+    imported, identical, _ = _merge_rows(dest, rows, source, dry_run=False)
+    return imported, identical
+
+
+def _merge_rows(
+    dest: ResultStore, rows: Iterable[Tuple], source: str, dry_run: bool
+) -> Tuple[int, int, Tuple[str, ...]]:
+    """The row walk of every merge: ``(imported, identical, conflicts)``.
+
+    Only the per-row step branches.  A real merge writes each row with
+    :meth:`~repro.store.db.ResultStore.put_raw`, which raises at the
+    first divergence; a dry run reads the held row and collects the
+    keys :func:`~repro.store.db.diverging_columns` refuses instead.
+    Both refuse a row they cannot read (:class:`StoreError`).
+    """
     imported = identical = 0
+    conflicts: List[str] = []
     for row in rows:
-        if dest.put_raw(tuple(row), source=source):
+        if not dry_run:
+            fresh = dest.put_raw(tuple(row), source=source)
+        else:
+            held = dest.get_raw(row[0])
+            fresh = held is None
+            if not fresh and _compare_rows(held, row, _store_label(dest), source):
+                conflicts.append(str(row[0]))
+                continue
+        if fresh:
             imported += 1
         else:
             identical += 1
-    if _OBS.metrics_on:
+    if _OBS.metrics_on and not dry_run:
         if imported:
             _MERGE_ROWS.inc(imported, outcome="imported")
         if identical:
             _MERGE_ROWS.inc(identical, outcome="identical")
-    return imported, identical
+    return imported, identical, tuple(conflicts)
 
 
 def merge_stores(
@@ -156,17 +183,27 @@ def merge_stores(
     """
     source_label = _store_label(source)
     dest_label = _store_label(dest)
-    if dry_run:
-        return _dry_run_report(dest, source, journals)
-    with span("store.merge", source=source_label, dest=dest_label) as sp:
-        imported, identical = import_raw_rows(
-            dest, source.iter_raw(), source=source_label
+    campaigns = studies = shared_campaigns = shared_studies = 0
+    journal_conflicts: List[str] = []
+    # A dry run opens no span, so ``store.merge`` times real merges only.
+    merge_span = (
+        nullcontext()
+        if dry_run
+        else span("store.merge", source=source_label, dest=dest_label)
+    )
+    with merge_span as sp:
+        imported, identical, conflicts = _merge_rows(
+            dest, source.iter_raw(), source_label, dry_run
         )
-        campaigns = studies = shared_campaigns = shared_studies = 0
         if journals:
-            campaigns, shared_campaigns, _ = _merge_campaigns(dest, source)
-            studies, shared_studies, _ = _merge_studies(dest, source)
-        sp.annotate(imported=imported, identical=identical)
+            campaigns, shared_campaigns, bad = _merge_campaigns(
+                dest, source, dry_run
+            )
+            journal_conflicts.extend(f"campaign {name!r}" for name in bad)
+            studies, shared_studies, bad = _merge_studies(dest, source, dry_run)
+            journal_conflicts.extend(f"study {name!r}" for name in bad)
+        if sp is not None:
+            sp.annotate(imported=imported, identical=identical)
     return MergeReport(
         source=source_label,
         dest=dest_label,
@@ -176,6 +213,9 @@ def merge_stores(
         campaigns_shared=shared_campaigns,
         studies_imported=studies,
         studies_shared=shared_studies,
+        dry_run=dry_run,
+        conflicts=conflicts,
+        journal_conflicts=tuple(journal_conflicts),
     )
 
 
@@ -185,44 +225,6 @@ def sync_stores(
     """Merge both ways so ``a`` and ``b`` converge on the union."""
     return merge_stores(a, b, journals=journals, dry_run=dry_run), merge_stores(
         b, a, journals=journals, dry_run=dry_run
-    )
-
-
-def _dry_run_report(
-    dest: ResultStore, source: ResultStore, journals: bool
-) -> MergeReport:
-    """What :func:`merge_stores` would do, computed read-only."""
-    imported = identical = 0
-    conflicts = []
-    for row in source.iter_raw():
-        held = dest.get_raw(row[0])
-        if held is None:
-            imported += 1
-        elif diverging_columns(held, row):
-            conflicts.append(str(row[0]))
-        else:
-            identical += 1
-    campaigns = studies = shared_campaigns = shared_studies = 0
-    journal_conflicts = []
-    if journals:
-        campaigns, shared_campaigns, bad = _merge_campaigns(
-            dest, source, dry_run=True
-        )
-        journal_conflicts.extend(f"campaign {name!r}" for name in bad)
-        studies, shared_studies, bad = _merge_studies(dest, source, dry_run=True)
-        journal_conflicts.extend(f"study {name!r}" for name in bad)
-    return MergeReport(
-        source=_store_label(source),
-        dest=_store_label(dest),
-        imported=imported,
-        identical=identical,
-        campaigns_imported=campaigns,
-        campaigns_shared=shared_campaigns,
-        studies_imported=studies,
-        studies_shared=shared_studies,
-        dry_run=True,
-        conflicts=tuple(conflicts),
-        journal_conflicts=tuple(journal_conflicts),
     )
 
 

@@ -168,10 +168,6 @@ class ShardedResultStore(ResultStore):
                 (str(index), str(self.n_shards)),
             )
 
-    def shard_paths(self) -> List[Path]:
-        """Every shard file, in shard order."""
-        return [shard.path for shard in self._shard_files()]
-
     # -- routing hooks -----------------------------------------------------------
 
     def _shard_files(self) -> List[ResultStore]:

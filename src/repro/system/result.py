@@ -244,21 +244,28 @@ def same_result(held: str, incoming: str) -> bool:
     :meth:`~SystemResult.to_payload` as canonical JSON) to exactly the
     current-schema text, so a format change never looks like divergent
     rows to a merge.  Anything else, including decoded values that
-    differ, disagrees.
+    differ and malformed text, disagrees -- except a JSON object whose
+    result schema this library cannot read: it may be a newer, valid
+    result, so the ``DesignError`` naming that schema propagates.
     """
     if held == incoming:
         return True
     try:
         docs = [parse_json(text, "result row") for text in (held, incoming)]
-        schemas = [
-            check_document(doc, "result", RESULT_SCHEMA, oldest=OLDEST_RESULT_SCHEMA)
-            for doc in docs
-        ]
-        if schemas[0] == schemas[1] or RESULT_SCHEMA not in schemas:
-            return False
-        current = schemas.index(RESULT_SCHEMA)
-        older = docs[1 - current]
-        reencoded = canonical_json(SystemResult.from_payload(older).to_payload())
+    except ReproError:
+        return False
+    if not all(isinstance(doc, Mapping) for doc in docs):
+        return False
+    schemas = [
+        check_document(doc, "result", RESULT_SCHEMA, oldest=OLDEST_RESULT_SCHEMA)
+        for doc in docs
+    ]
+    if schemas[0] == schemas[1] or RESULT_SCHEMA not in schemas:
+        return False
+    current = schemas.index(RESULT_SCHEMA)
+    try:
+        older = SystemResult.from_payload(docs[1 - current])
+        reencoded = canonical_json(older.to_payload())
     except (ReproError, AttributeError, KeyError, TypeError, ValueError):
         return False
     return reencoded == (held, incoming)[current]

@@ -16,7 +16,7 @@ from repro.errors import ConfigError, DesignError, ReproError
 from repro.service import JOB_STATUSES, JobCancelled, JobQueue, validate_job
 from repro.service.worker import execute_job
 from repro.scenario import PartsSpec, Scenario
-from repro.store import ResultStore
+from repro.store import Campaign, ResultStore
 from repro.system.config import SystemConfig
 from repro.system.stochastic import named_family
 
@@ -293,5 +293,8 @@ def test_progress_and_result_entries_track_the_store(store, queue):
     # Pagination windows and validation.
     count, page = queue.result_entries(job, offset=1, limit=5)
     assert count == 2 and [e["index"] for e in page] == [1]
+    names = [s.name for s in Campaign(store, job.name).scenarios()]
+    assert names[0] != names[1]
+    assert page[0]["name"] == names[1]
     with pytest.raises(ConfigError):
         queue.result_entries(job, offset=-1)

@@ -3,7 +3,9 @@
 Schema 2 changed how traces are encoded, not what a result is.  A
 schema-1 row and a schema-2 row of the same content key are the same
 result when the schema-1 row re-encodes to the schema-2 bytes; rows
-whose decoded values differ still refuse to merge.
+whose decoded values differ, and malformed rows, still refuse to merge.
+A row of a schema this library cannot read (a newer one) is refused as
+unreadable, never as corrupt or diverging.
 """
 
 import json
@@ -138,3 +140,51 @@ def test_schema1_row_with_different_values_is_refused(stores):
         merge_stores(new, old)
     with pytest.raises(StoreError, match="canonical bytes differ"):
         sync_stores(old, new)
+
+
+def _forge_schema(store, key, schema):
+    """Restamp one stored payload with another result ``schema``."""
+    doc = json.loads(store.get_payload_text(key))
+    doc["schema"] = schema
+    _rewrite_payloads(store, {key: canonical_json(doc)})
+
+
+_MERGE_PATHS = {
+    "put_raw": lambda dest, source, key: dest.put_raw(
+        source.get_raw(key), source=str(source.path)
+    ),
+    "dry-run": lambda dest, source, key: merge_stores(dest, source, dry_run=True),
+    "merge": lambda dest, source, key: merge_stores(dest, source),
+    "sync": lambda dest, source, key: sync_stores(dest, source),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_MERGE_PATHS))
+@pytest.mark.parametrize("newer", ["incoming", "held"])
+def test_a_newer_schema_row_is_unreadable_not_corrupt(stores, newer, path):
+    """A row this library cannot read may be newer, not divergent: every
+    merge path refuses it naming the schema, the key and both stores,
+    and none calls it corrupt or counts it as diverging."""
+    forged, current = stores
+    key = current.keys()[0]
+    _forge_schema(forged, key, 3)
+    dest, source = (current, forged) if newer == "incoming" else (forged, current)
+    with pytest.raises(StoreError) as info:
+        _MERGE_PATHS[path](dest, source, key)
+    message = str(info.value)
+    assert "unsupported result schema 3 (this library reads schema 1 to 2)" in message
+    assert key in message
+    assert str(dest.path) in message and str(source.path) in message
+    assert "corrupt" not in message and "differ" not in message
+
+
+def test_malformed_rows_still_diverge(stores):
+    old, new = stores
+    first, second, _ = new.keys()
+    doc = json.loads(old.get_payload_text(second))
+    doc.pop("schema")
+    doc["traces"] = "not traces"
+    _rewrite_payloads(old, {first: "not json", second: canonical_json(doc)})
+    assert merge_stores(new, old, dry_run=True).conflicts == (first, second)
+    with pytest.raises(StoreError, match="corrupt or non-deterministic"):
+        merge_stores(new, old)

@@ -7,11 +7,12 @@ Two contracts under test:
   differ between the two stores is a hard :class:`StoreError` (naming
   both provenances), and campaign/study journals merge with the same
   identical-or-refuse semantics;
-- **partitioned execution** (:class:`Campaign.partition` and friends):
-  disjoint slices with the *same* full-list seed resolution as a
-  single-store run, so separately-written partition stores merge back
-  into a canonical store that is byte-identical to the one a single
-  process would have produced -- kill-safe, with zero re-simulation.
+- **partitioned execution** (:func:`partition_scenarios` slices run as
+  campaigns named :func:`partition_name`): disjoint slices with the
+  *same* full-list seed resolution as a single-store run, so
+  separately-written partition stores merge back into a canonical
+  store that is byte-identical to the one a single process would have
+  produced -- kill-safe, with zero re-simulation.
 """
 
 import multiprocessing
@@ -25,7 +26,6 @@ from repro.errors import SimulationError, StoreError
 from repro.scenario import PartsSpec, Scenario
 from repro.store import (
     Campaign,
-    CampaignPartition,
     ResultStore,
     ShardedResultStore,
     merge_stores,
@@ -250,11 +250,14 @@ def test_campaign_partition_objects_cover_disjointly(tmp_path):
     store = ResultStore(tmp_path / "store.db")
     family = replace(named_family("hvac"), horizon=60.0)
     campaign = Campaign.create(store, "part", family.expand(n=7, seed=1))
-    parts = campaign.partition(3)
-    assert [p.name for p in parts] == [
+    parts = [
+        (partition_name("part", i + 1, 3), group)
+        for i, group in enumerate(partition_scenarios(campaign.scenarios(), 3))
+    ]
+    assert [name for name, _ in parts] == [
         "part@p1of3", "part@p2of3", "part@p3of3"
     ]
-    keys = [s.cache_key() for p in parts for s in p.scenarios]
+    keys = [s.cache_key() for _, group in parts for s in group]
     assert keys == [s.cache_key() for s in campaign.scenarios()]
     assert len(set(keys)) == len(keys)
 
@@ -263,13 +266,17 @@ def test_campaign_partition_objects_cover_disjointly(tmp_path):
 
 
 def _run_partition_process(part, path, crash_after, queue):
-    """Child body: run one partition against its own store, report the
-    number of scenarios this process actually simulated."""
+    """Child body: run one ``(name, scenarios)`` partition against its
+    own store, report the number of scenarios this process actually
+    simulated."""
     CountingBackend.simulated = []
     CountingBackend.crash_after = crash_after
     store = ResultStore(path)
+    name, scenarios = part
     try:
-        part.run(store, jobs=1, chunk_size=2)
+        Campaign.create(store, name, scenarios, exist_ok=True).run(
+            jobs=1, chunk_size=2
+        )
         queue.put(("done", len(CountingBackend.simulated)))
     except SimulationError:
         queue.put(("crashed", len(CountingBackend.simulated)))
@@ -301,9 +308,7 @@ def test_partitioned_kill_resume_merge_is_byte_identical(tmp_path):
     # Partitioned: two processes, two private stores; partition 1 is
     # killed mid-run and then resumed.
     parts = [
-        CampaignPartition(
-            campaign="acc", index=i + 1, of=2, scenarios=tuple(group)
-        )
+        (partition_name("acc", i + 1, 2), group)
         for i, group in enumerate(partition_scenarios(scenarios, 2))
     ]
     ctx = multiprocessing.get_context("fork")
@@ -313,15 +318,15 @@ def test_partitioned_kill_resume_merge_is_byte_identical(tmp_path):
     state, simulated = _spawn(ctx, parts[0], paths[0], 3, queue)
     assert state == "crashed"
     partial = len(ResultStore(paths[0]))
-    assert 0 < partial < len(parts[0].scenarios)
+    assert 0 < partial < len(parts[0][1])
 
     state, resumed = _spawn(ctx, parts[0], paths[0], None, queue)
     assert state == "done"
     # The resume simulated only what the kill left missing.
-    assert resumed == len(parts[0].scenarios) - partial
+    assert resumed == len(parts[0][1]) - partial
     state, simulated2 = _spawn(ctx, parts[1], paths[1], None, queue)
     assert state == "done"
-    assert simulated2 == len(parts[1].scenarios)
+    assert simulated2 == len(parts[1][1])
 
     # Merge both partition stores into a sharded canonical store.
     canonical = ShardedResultStore(tmp_path / "canonical", shards=4)
