@@ -362,6 +362,21 @@ section_shard() {
   repro-wsn store merge canonical part1.db part2.db | tee merge.txt
   [ "$(grep -c "^would merge" dry.txt)" -eq 2 ]
   diff <(sed -e 's/^would merge /merged /' -e 's/ to import,/ imported,/' dry.txt) merge.txt
+  # A multi-source dry run checks each source against the earlier ones
+  # too: a row two sources hold with different bytes is refused.
+  cp part1.db clash.db
+  python - <<'EOF'
+import sqlite3
+with sqlite3.connect("clash.db") as conn:
+    conn.execute(
+        "UPDATE results SET payload = payload || ' ' "
+        "WHERE rowid = (SELECT MIN(rowid) FROM results)"
+    )
+EOF
+  repro-wsn store init empty.db
+  repro-wsn store merge empty.db part1.db clash.db --dry-run | tee clash.txt
+  if head -n 1 clash.txt | grep -q REFUSES; then exit 1; fi
+  tail -n 1 clash.txt | grep -q "REFUSES: 1 diverging row(s)"
   repro-wsn store stats canonical | grep "shards: 4"
   # The canonical pass simulates nothing and matches byte for byte.
   repro-wsn campaign run manifest.json --store canonical --name shard-smoke

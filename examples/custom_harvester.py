@@ -2,14 +2,16 @@
 
 Demonstrates the library's composability: design a smaller cantilever
 harvester from geometry (Euler-Bernoulli beam + magnetic tuner +
-electromagnetic coupling), drop it into the system model in place of the
-calibrated default, and re-run the design space exploration.  The optimum
-shifts because the energy budget changed -- exactly the study a deployment
-engineer would run before choosing firmware settings for new hardware.
+electromagnetic coupling), register it as a simulation backend in place of
+the calibrated default, and re-run the design space exploration.  The
+optimum shifts because the energy budget changed -- exactly the study a
+deployment engineer would run before choosing firmware settings for new
+hardware.
 
 Run:  python examples/custom_harvester.py
 """
 
+from repro.backends import register_backend
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.objective import SimulationObjective
 from repro.digital.lut import FrequencyLut
@@ -23,6 +25,7 @@ from repro.mech.magnetics import MagneticTuner
 from repro.node.ez430 import SensorNode
 from repro.system.components import SystemParts
 from repro.system.config import ORIGINAL_DESIGN, paper_parameter_space
+from repro.system.envelope import EnvelopeSimulator
 from repro.system.vibration import VibrationProfile
 
 
@@ -57,6 +60,22 @@ def build_custom_parts() -> SystemParts:
     )
 
 
+class CustomHarvesterBackend:
+    """The envelope simulator running on the custom hardware."""
+
+    name = "custom-harvester"
+
+    def simulate(self, scenario):
+        sim = EnvelopeSimulator(
+            scenario.config,
+            parts=build_custom_parts(),
+            profile=scenario.profile,
+            seed=scenario.seed,
+            record_traces=False,
+        )
+        return sim.run(scenario.horizon)
+
+
 def main() -> None:
     print("custom harvester:")
     parts = build_custom_parts()
@@ -64,10 +83,11 @@ def main() -> None:
     print(f"  beam-designed resonator, tunable {f_lo:.1f} - {f_hi:.1f} Hz")
     print(f"  storage: {parts.store.capacitance:.2f} F supercapacitor")
 
+    register_backend("custom-harvester", CustomHarvesterBackend)
     objective = SimulationObjective(
         space=paper_parameter_space(),
         seed=3,
-        parts_factory=build_custom_parts,
+        backend="custom-harvester",
         profile_factory=VibrationProfile.paper_profile,
     )
     explorer = DesignSpaceExplorer(

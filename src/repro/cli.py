@@ -1064,6 +1064,7 @@ def _cmd_store(args) -> int:
         from repro.store import merge_stores
 
         dest = _open_store(args.dest)
+        earlier = []
         for source_path in args.sources:
             source = _open_store(source_path)
             report = merge_stores(
@@ -1071,8 +1072,10 @@ def _cmd_store(args) -> int:
                 source,
                 journals=not args.no_journals,
                 dry_run=args.dry_run,
+                earlier=earlier,
             )
             print(report.summary())
+            earlier.append(source)
         return 0
     if args.store_command == "sync":
         from repro.store import sync_stores

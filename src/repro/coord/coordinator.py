@@ -332,7 +332,7 @@ class Coordinator:
             source="coordinator",
             exist_ok=True,
         )
-        self._keys = [key for key, _ in store.campaign_rows(self.name)]
+        self._keys = store.campaign_keys(self.name)
         self.journal = CoordJournal(store)
         created = self.journal.create(self.name, self.manifest, self.partitions)
         self._resumed = not created

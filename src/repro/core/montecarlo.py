@@ -24,7 +24,7 @@ import numpy as np
 from repro.backends import quiet_options
 from repro.core.batch import BatchRunner
 from repro.errors import ConfigError
-from repro.rng import SeedLike, derive_seed, ensure_rng
+from repro.rng import SeedLike, derive_seed, ensure_rng, seed_base
 from repro.scenario import PartsSpec, Scenario
 from repro.system.config import ORIGINAL_DESIGN, SystemConfig
 from repro.system.stochastic import ScenarioFamily
@@ -85,16 +85,10 @@ class EnvironmentFamily(ScenarioFamily):
     def expand(self, n: int = 1, seed: SeedLike = 0) -> List[Scenario]:
         if n < 1:
             raise ConfigError("need at least one Monte Carlo sample")
-        # Same seed discipline as StochasticFamily.expand: an integer
-        # seed is the derivation base directly, a live generator is
-        # collapsed to one once.  The environment stream and the
-        # per-sample measurement-noise seeds then come from
-        # ``derive_seed(base, ...)`` -- the earlier ad-hoc
-        # ``rng.integers(0, 2**31 - 1)`` draw both silently excluded
-        # the top value and diverged from the documented derivation.
-        base = 0 if seed is None else seed
-        if not isinstance(base, int):
-            base = int(ensure_rng(base).integers(0, 2**31 - 1))
+        # Same seed discipline as StochasticFamily.expand: the
+        # environment stream and the per-sample measurement-noise seeds
+        # come from ``derive_seed(base, ...)``.
+        base = seed_base(seed)
         rng = ensure_rng(derive_seed(base, _ENV_STREAM))
         scenarios: List[Scenario] = []
         for i in range(n):

@@ -10,12 +10,13 @@ thing.  Three design decisions worth knowing:
   optimisation and makes the whole flow reproducible.
 - **Caching**: evaluations are memoised on the rounded coded point;
   verification re-runs of design points are free.
-- **Scenario dispatch**: evaluations are expressed as
-  :class:`~repro.scenario.Scenario` values and executed through a
+- **Scenario dispatch**: every evaluation is a
+  :class:`~repro.scenario.Scenario` executed through a
   :class:`~repro.core.batch.BatchRunner`, so any registered backend works
   (``backend="detailed"``) and whole design matrices fan out over
-  ``jobs`` workers.  Custom ``parts_factory`` callables (which cannot be
-  serialised into a scenario) fall back to direct in-process simulation.
+  ``jobs`` workers.  Custom hardware that a
+  :class:`~repro.scenario.PartsSpec` cannot describe is a registered
+  backend that builds its own parts (``examples/custom_harvester.py``).
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.batch import BatchRunner
-from repro.errors import ConfigError
+from repro.registry import Registry
 from repro.rng import derive_seed
 from repro.rsm.coding import ParameterSpace
 from repro.scenario import PartsSpec, Scenario
-from repro.system.components import paper_system
 from repro.system.config import SystemConfig, paper_parameter_space
 from repro.system.result import SystemResult
 from repro.system.vibration import VibrationProfile
@@ -39,11 +39,12 @@ from repro.system.vibration import VibrationProfile
 #: is the paper's figure of merit; the others let a declarative
 #: :class:`~repro.core.study.StudySpec` study different responses of the
 #: same simulations.
-METRICS: Dict[str, Callable[[SystemResult], float]] = {
+METRICS: Registry[Callable[[SystemResult], float]] = Registry("metric")
+METRICS.update({
     "transmissions": lambda r: float(r.transmissions),
     "transmissions-per-hour": lambda r: float(r.transmissions_per_hour),
     "final-voltage": lambda r: float(r.final_voltage),
-}
+})
 
 
 #: Decimals the coded point is rounded to for the memo key.
@@ -52,16 +53,12 @@ CACHE_DECIMALS = 9
 
 def metric_names() -> "list[str]":
     """Names accepted by ``SimulationObjective(metric=...)``."""
-    return sorted(METRICS)
+    return METRICS.names()
 
 
 def get_metric(name: str) -> Callable[[SystemResult], float]:
     """The metric extractor registered under ``name``."""
-    try:
-        return METRICS[name]
-    except KeyError:
-        known = ", ".join(metric_names())
-        raise ConfigError(f"unknown metric {name!r} (known: {known})") from None
+    return METRICS.lookup(name)
 
 
 class SimulationObjective:
@@ -75,16 +72,12 @@ class SimulationObjective:
     profile_factory:
         Zero-argument callable returning the excitation profile for each
         evaluation (default: the paper profile).
-    parts_factory:
-        Zero-argument callable returning fresh :class:`SystemParts`.
-        Providing one disables scenario dispatch (the callable cannot be
-        serialised); the default system keeps the full scenario path.
     parts:
-        Declarative alternative to ``parts_factory``: a
-        :class:`~repro.scenario.PartsSpec` that stays serialisable and
-        parallelisable.
+        Optional :class:`~repro.scenario.PartsSpec` every evaluation's
+        scenario carries (default: the calibrated paper system).
     backend:
-        Registered backend name used for every evaluation.
+        Registered backend name used for every evaluation; register a
+        backend to explore hardware a ``PartsSpec`` cannot describe.
     jobs:
         Worker count for :meth:`evaluate_design` batches.
     store:
@@ -105,29 +98,21 @@ class SimulationObjective:
         horizon: float = 3600.0,
         seed: int = 0,
         profile_factory: Optional[Callable[[], VibrationProfile]] = None,
-        parts_factory: Optional[Callable[[], object]] = None,
         parts: Optional[PartsSpec] = None,
         backend: str = "envelope",
         jobs: int = 1,
         store=None,
         metric: str = "transmissions",
     ):
-        if parts is not None and parts_factory is not None:
-            raise ConfigError(
-                "pass either parts (declarative) or parts_factory "
-                "(opaque callable), not both"
-            )
         self.space = space or paper_parameter_space()
         self.horizon = horizon
         self.seed = seed
         self.profile_factory = profile_factory or VibrationProfile.paper_profile
-        self.parts_factory = parts_factory or paper_system
         self.parts_spec = parts
         self.backend = backend
         self.jobs = int(jobs)
         self.metric = metric
         self._metric_fn = get_metric(metric)
-        self._declarative_parts = parts_factory is None
         self._runner = BatchRunner(jobs=self.jobs, seed=seed, store=store)
         self._cache: Dict[Tuple[float, ...], float] = {}
         self.n_simulations = 0
@@ -173,26 +158,11 @@ class SimulationObjective:
     def simulate(self, config: SystemConfig, record_traces: bool = False) -> SystemResult:
         """Run one full simulation of ``config``."""
         self.n_simulations += 1
-        if self._declarative_parts:
-            return self._runner.run_one(self.scenario_for(config, record_traces))
-        from repro.system.envelope import EnvelopeSimulator
-
-        sim = EnvelopeSimulator(
-            config,
-            parts=self.parts_factory(),
-            profile=self.profile_factory(),
-            seed=derive_seed(self.seed, 1),
-            record_traces=record_traces,
-        )
-        return sim.run(self.horizon)
+        return self._runner.run_one(self.scenario_for(config, record_traces))
 
     def __call__(self, coded: np.ndarray) -> float:
         """Transmissions achieved by the coded configuration (cached)."""
-        key = self._key(coded)
-        if key not in self._cache:
-            result = self.simulate(self.config_from_coded(np.array(key)))
-            self._cache[key] = self._metric_fn(result)
-        return self._cache[key]
+        return float(self.evaluate_design(coded)[0])
 
     def evaluate_design(self, points_coded: np.ndarray) -> np.ndarray:
         """Evaluate every row of a coded design matrix.
@@ -202,17 +172,16 @@ class SimulationObjective:
         """
         pts = np.atleast_2d(np.asarray(points_coded, dtype=float))
         keys = [self._key(row) for row in pts]
-        if self._declarative_parts:
-            missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
-            if missing:
-                scenarios = [
-                    self.scenario_for(self.config_from_coded(np.array(k)))
-                    for k in missing
-                ]
-                self.n_simulations += len(missing)
-                for k, result in zip(missing, self._runner.run(scenarios)):
-                    self._cache[k] = self._metric_fn(result)
-        return np.array([self(row) for row in pts])
+        missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
+        if missing:
+            scenarios = [
+                self.scenario_for(self.config_from_coded(np.array(k)))
+                for k in missing
+            ]
+            self.n_simulations += len(missing)
+            for k, result in zip(missing, self._runner.run(scenarios)):
+                self._cache[k] = self._metric_fn(result)
+        return np.array([self._cache[k] for k in keys])
 
     def _key(self, coded: np.ndarray) -> Tuple[float, ...]:
         return tuple(

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from repro.documents import (
 from repro.errors import ConfigError, DesignError
 from repro.obs.trace import span
 from repro.optimize.registry import get_optimizer
+from repro.registry import Registry
 from repro.rsm.coding import ParameterSpace
 from repro.rsm.registry import get_surrogate
 from repro.scenario import PartsSpec
@@ -726,16 +727,10 @@ def paper_study_spec(
 
 
 #: Factories for the named studies (each call returns a fresh value).
-STUDY_LIBRARY: Dict[str, Callable[[], StudySpec]] = {
-    "paper": paper_study_spec,
-}
+STUDY_LIBRARY: Registry[Callable[[], StudySpec]] = Registry("study")
+STUDY_LIBRARY.register("paper", paper_study_spec)
 
 
 def named_study(name: str) -> StudySpec:
     """Instantiate a library study spec by name."""
-    try:
-        factory = STUDY_LIBRARY[name]
-    except KeyError:
-        known = ", ".join(sorted(STUDY_LIBRARY))
-        raise ConfigError(f"unknown study {name!r} (known: {known})") from None
-    return factory()
+    return STUDY_LIBRARY.lookup(name)()

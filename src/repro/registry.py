@@ -12,10 +12,11 @@ T = TypeVar("T")
 class Registry(Dict[str, T]):
     """A process-wide map from name to one ``kind`` of pluggable entry.
 
-    Backends, designs, surrogates and optimisers each keep one; their
-    public ``register_*``, ``get_*`` and ``*_names`` functions delegate
-    here, so every stage raises the same :class:`~repro.errors.ConfigError`
-    messages.
+    Backends, designs, surrogates and optimisers each keep one, and so
+    do the named scenario, family, study and metric libraries; their
+    public ``register_*``, ``get_*``, ``named_*`` and ``*_names``
+    functions delegate here, so every lookup raises the same
+    :class:`~repro.errors.ConfigError` messages.
     """
 
     def __init__(self, kind: str):

@@ -10,6 +10,7 @@ produces identical tables.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Union
 
 import numpy as np
@@ -58,3 +59,14 @@ def derive_seed(base_seed: Optional[int], *components: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         state = z ^ (z >> 31)
     return int(state & 0x7FFFFFFFFFFFFFFF)
+
+
+def seed_base(seed: SeedLike) -> int:
+    """The integer a family expansion derives its seeds from: ``None``
+    is 0, any integer (NumPy's too) itself, a generator one draw."""
+    if seed is None:
+        return 0
+    try:
+        return operator.index(seed)
+    except TypeError:
+        return int(ensure_rng(seed).integers(0, 2**31 - 1))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, List, Mapping, Optional, Union
 
 from repro.documents import (
     canonical_json,
@@ -32,6 +32,7 @@ from repro.documents import (
     write_json,
 )
 from repro.errors import ConfigError
+from repro.registry import Registry
 from repro.system.components import SystemParts, paper_system
 from repro.system.config import ORIGINAL_DESIGN, SystemConfig
 from repro.system.vibration import VibrationProfile
@@ -314,13 +315,14 @@ def _long_horizon() -> Scenario:
 
 
 #: Factories for the named scenarios (each call returns a fresh value).
-SCENARIO_LIBRARY: Dict[str, Callable[[], Scenario]] = {
+SCENARIO_LIBRARY: Registry[Callable[[], Scenario]] = Registry("scenario")
+SCENARIO_LIBRARY.update({
     "paper": _paper,
     "bursty": _bursty,
     "low-vibration": _low_vibration,
     "cold-start": _cold_start,
     "long-horizon": _long_horizon,
-}
+})
 
 
 def scenario_names() -> List[str]:
@@ -331,7 +333,7 @@ def scenario_names() -> List[str]:
     family's canonical instance -- but are listed separately because one
     name covers a whole distribution of scenarios.
     """
-    return sorted(SCENARIO_LIBRARY)
+    return SCENARIO_LIBRARY.names()
 
 
 def named_scenario(name: str) -> Scenario:
@@ -351,7 +353,7 @@ def named_scenario(name: str) -> Scenario:
         if name in FAMILY_LIBRARY:
             return named_family(name).expand(n=1, seed=0)[0]
         known = ", ".join(scenario_names())
-        families = ", ".join(sorted(FAMILY_LIBRARY))
+        families = ", ".join(FAMILY_LIBRARY.names())
         raise ConfigError(
             f"unknown scenario {name!r} "
             f"(known: {known}; stochastic families: {families})"

@@ -44,7 +44,7 @@ from repro.service.http import (
     TokenAuth,
     error_response,
 )
-from repro.service.jobs import JOB_KINDS, JobQueue
+from repro.service.jobs import JobQueue
 from repro.store.db import ResultStore
 
 #: Result-page size cap: keeps one response bounded however large the job.
@@ -238,8 +238,9 @@ class ServiceApp:
             name = body.get("name")
             priority = body.get("priority", 0)
             # Envelope sugar for partitioned campaigns: {"partitions":
-            # N, "partition": I} folds into the payload's partition
-            # object (validated, like everything else, in validate_job).
+            # N, "partition": I} folds into an object payload's
+            # partition object.  The kind, the payload and the
+            # partition are all validated in validate_job.
             partitions = body.get("partitions")
             part_index = body.get("partition")
             if partitions is not None or part_index is not None:
@@ -249,23 +250,17 @@ class ServiceApp:
                         "partitioned submissions need both 'partitions' "
                         "(N) and 'partition' (1-based index)",
                     )
-                if not isinstance(payload, dict):
-                    raise _HTTPError(400, "job payload must be a JSON object")
-                payload = dict(payload)
-                payload["partition"] = {"index": part_index, "of": partitions}
+                if isinstance(payload, dict):
+                    payload = dict(
+                        payload,
+                        partition={"index": part_index, "of": partitions},
+                    )
         else:
             payload, kind, name, priority = body, body.pop("kind", None), None, 0
-        if kind is not None and kind not in JOB_KINDS:
-            raise _HTTPError(
-                400,
-                f"unknown job kind {kind!r} (known: {', '.join(JOB_KINDS)})",
-            )
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise _HTTPError(400, "job priority must be an integer")
         if name is not None and not isinstance(name, str):
             raise _HTTPError(400, "job name must be a string")
-        if not isinstance(payload, dict):
-            raise _HTTPError(400, "job payload must be a JSON object")
         job = self.queue.submit(
             payload,
             kind=kind,

@@ -201,63 +201,74 @@ def job_partition(payload: dict, total: int) -> Optional[Tuple[int, int]]:
     return index, of
 
 
-def validate_job(
-    kind: Optional[str], payload: dict, name: Optional[str] = None
-) -> Tuple[str, str, int]:
-    """Parse-validate a submission; return ``(kind, job name, total)``.
+def _decode_job(
+    kind: Optional[str], payload: dict
+) -> Tuple[str, object, Optional[str], Optional[Tuple[int, int]]]:
+    """``(kind, work, default name, partition)`` of a submission.
 
-    Runs the same constructors the worker will run (scenario / manifest
-    / spec decoding plus backend-registry resolution), so everything
-    that would fail a job at execution time fails the *submission*
-    instead -- with the library's own error types and messages.
+    The one decoder of :func:`validate_job` and the worker.  ``work`` is
+    a study's spec or the scenarios to journal: for a partition job,
+    its slice of the seeded full list
+    (:func:`~repro.store.partition_scenarios`).
     """
     from repro.backends import get_backend
     from repro.core.study import StudySpec
     from repro.scenario import Scenario
+    from repro.store.campaign import partition_scenarios
     from repro.system.stochastic import manifest_name, manifest_scenarios
 
+    if kind is not None and kind not in JOB_KINDS:
+        raise ConfigError(
+            f"unknown job kind {kind!r} (known: {', '.join(JOB_KINDS)})"
+        )
     if not isinstance(payload, dict):
         raise DesignError(
             f"job payload must be a JSON object, got {type(payload).__name__}"
         )
     if kind is None:
         kind = _detect_kind(payload)
-    if kind not in JOB_KINDS:
-        raise ConfigError(
-            f"unknown job kind {kind!r} (known: {', '.join(JOB_KINDS)})"
-        )
     if kind != "campaign" and payload.get("partition") is not None:
         raise DesignError(
             f"only campaign jobs can be partitioned, not {kind} jobs"
         )
-    if kind == "campaign":
-        scenarios = manifest_scenarios(payload)
-        for backend in {s.backend for s in scenarios}:
-            get_backend(backend)
-        job_name = str(name or manifest_name(payload) or "")
-        total = len(scenarios)
-        part = job_partition(payload, total)
-        if part is not None:
-            from repro.store.campaign import partition_name, partition_slices
-
-            index, of = part
-            start, stop = partition_slices(total, of)[index - 1]
-            total = stop - start
-            if job_name:
-                # The journal name always carries the slice, so N
-                # partition jobs of one manifest never collide on it.
-                job_name = partition_name(job_name, index, of)
-        return kind, job_name, total
     if kind == "study":
-        spec = StudySpec.from_dict(payload)
-        get_backend(spec.backend)
-        # n_runs design points + the original-design verification run;
-        # the authoritative total comes from the study journal once the
-        # design matrix is resolved.
-        return kind, str(name or spec.name), spec.n_runs + 1
-    scenario = Scenario.from_dict(payload)
-    get_backend(scenario.backend)
-    return kind, str(name or scenario.name), 1
+        work = StudySpec.from_dict(payload)
+        backends, name = {work.backend}, work.name
+    elif kind == "campaign":
+        work = manifest_scenarios(payload)
+        backends, name = {s.backend for s in work}, manifest_name(payload)
+    else:
+        work = [Scenario.from_dict(payload)]
+        backends, name = {work[0].backend}, work[0].name
+    for backend in backends:
+        get_backend(backend)
+    part = job_partition(payload, len(work)) if kind == "campaign" else None
+    if part is not None:
+        index, of = part
+        work = partition_scenarios(work, of)[index - 1]
+    return kind, work, name, part
+
+
+def validate_job(
+    kind: Optional[str], payload: dict, name: Optional[str] = None
+) -> Tuple[str, str, int]:
+    """Parse-validate a submission; return ``(kind, job name, total)``.
+
+    Runs the worker's own decoder (backend resolution included), so
+    everything that would fail a job at execution time fails the
+    *submission* instead -- with the library's own errors.
+    """
+    from repro.store.campaign import partition_name
+
+    kind, work, default_name, part = _decode_job(kind, payload)
+    job_name = str(name or default_name or "")
+    if part is not None and job_name:
+        # The journal name always carries the slice, so N partition
+        # jobs of one manifest never collide on it.
+        job_name = partition_name(job_name, *part)
+    # A study runs n_runs design points + the original-design check;
+    # its journal holds the authoritative total once the design is set.
+    return kind, job_name, work.n_runs + 1 if kind == "study" else len(work)
 
 
 class JobQueue:
@@ -594,7 +605,7 @@ class JobQueue:
             if row is not None:
                 return row.done(self.store), row.total
             return 0, job.total
-        keys = [key for key, _ in self.store.campaign_rows(job.name)]
+        keys = self.store.campaign_keys(job.name)
         if keys:
             return self.store.count_keys(keys), len(keys)
         return 0, job.total
@@ -622,29 +633,27 @@ class JobQueue:
             raise ConfigError("results page needs offset >= 0 and limit >= 1")
         if job.kind == "study":
             row = self.store.get_study(job.name)
-            keys = [] if row is None else list(row.keys)
-            docs = None
+            keys = [] if row is None else row.keys
+            total = len(keys)
+            stop = min(offset + limit, total)
+            page = [(f"point-{i}", keys[i]) for i in range(offset, stop)]
         else:
-            pairs = self.store.campaign_rows(job.name)
-            keys = [key for key, _ in pairs]
-            docs = [doc for _, doc in pairs]
+            # Only this page's journal rows are read; the header counts
+            # them all (both commit in one transaction).
+            journal = self.store.get_campaign(job.name)
+            total, rows = 0, []
+            if journal is not None:
+                total = journal.total
+                rows = self.store.campaign_rows(job.name, offset, offset + limit)
+            page = [(json.loads(doc).get("name") or "", key) for key, doc in rows]
         entries = []
-        for index in range(offset, min(offset + limit, len(keys))):
-            # Only this page's scenario documents are decoded.
-            entry = {
-                "index": index,
-                "name": (
-                    f"point-{index}"
-                    if docs is None
-                    else json.loads(docs[index]).get("name") or ""
-                ),
-                "key": keys[index],
-            }
+        for index, (name, key) in enumerate(page, start=offset):
+            entry = {"index": index, "name": name, "key": key}
             if raw:
-                stored = self.store.get_raw(keys[index])
+                stored = self.store.get_raw(key)
                 entry["row"] = None if stored is None else list(stored)
             else:
-                text = self.store.get_payload_text(keys[index])
+                text = self.store.get_payload_text(key)
                 entry["result"] = None if text is None else json.loads(text)
             entries.append(entry)
-        return len(keys), entries
+        return total, entries

@@ -42,7 +42,7 @@ from repro.obs.logging import get_logger, log_context
 from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.obs.trace import span
-from repro.service.jobs import Job, JobCancelled, JobQueue
+from repro.service.jobs import Job, JobCancelled, JobQueue, _decode_job
 from repro.store.db import ResultStore
 
 #: Fallback drain window applied by :meth:`WorkerPool.stop`.
@@ -77,34 +77,22 @@ def execute_job(
     """
     from repro.store.campaign import Campaign
 
-    if job.kind == "study":
-        from repro.core.study import Study, StudySpec
+    kind, work, _, _ = _decode_job(job.kind, job.payload)
+    if kind == "study":
+        from repro.core.study import Study
 
-        spec = replace(StudySpec.from_dict(job.payload), name=job.name)
-        study = Study(spec, store=store, jobs=jobs, chunk_size=chunk_size)
+        study = Study(
+            replace(work, name=job.name),
+            store=store,
+            jobs=jobs,
+            chunk_size=chunk_size,
+        )
         study.run(on_chunk=on_chunk)
         return
-    if job.kind == "campaign":
-        from repro.service.jobs import job_partition
-        from repro.store.campaign import partition_scenarios
-        from repro.system.stochastic import manifest_scenarios
-
-        scenarios = manifest_scenarios(job.payload)
-        part = job_partition(job.payload, len(scenarios))
-        if part is not None:
-            # Same full-list seed resolution, then this job's slice --
-            # so the keys match a single-store run of the whole
-            # manifest and the shards merge without collisions.
-            index, of = part
-            scenarios = partition_scenarios(scenarios, of)[index - 1]
-    else:
-        from repro.scenario import Scenario
-
-        scenarios = [Scenario.from_dict(job.payload)]
     campaign = Campaign.create(
         store,
         job.name,
-        scenarios,
+        work,
         source=f"job {job.id}",
         exist_ok=True,
     )
@@ -177,7 +165,6 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._alive: Dict[str, float] = {}
         self._busy: Dict[str, Optional[str]] = {}
-        self._lost: Dict[str, bool] = {}
         self._last_sweep = 0.0
         self.processed = 0
         self.failed = 0
@@ -316,7 +303,6 @@ class WorkerPool:
     def _run_claim(self, worker_id: str, job: Job) -> None:
         with self._lock:
             self._busy[worker_id] = job.id
-            self._lost[worker_id] = False
         if _OBS.metrics_on:
             _BUSY_WORKERS.inc()
         _LOG.info(
@@ -329,11 +315,6 @@ class WorkerPool:
                 raise DrainRequeue(
                     f"pool stopping; job {job.id} returns to the queue"
                 )
-            with self._lock:
-                if self._lost.get(worker_id):
-                    raise JobCancelled(
-                        f"job {job.id} claim lost (cancelled or requeued)"
-                    )
             self.queue.heartbeat(job.id, worker_id)
 
         try:
@@ -364,23 +345,19 @@ class WorkerPool:
                 "requeued job (drain)",
                 extra=log_context(job=job.id, worker=worker_id),
             )
-        except ReproError as exc:
-            self.queue.fail(job.id, worker_id, str(exc))
+        except Exception as exc:  # a worker thread must survive anything
+            # The library's own errors read as they are; others by type.
+            error = (
+                str(exc)
+                if isinstance(exc, ReproError)
+                else f"{type(exc).__name__}: {exc}"
+            )
+            self.queue.fail(job.id, worker_id, error)
             with self._lock:
                 self.failed += 1
             _LOG.warning(
                 "job failed: %s",
-                exc,
-                extra=log_context(job=job.id, worker=worker_id),
-            )
-        except Exception as exc:  # a worker thread must survive anything
-            self.queue.fail(job.id, worker_id, f"{type(exc).__name__}: {exc}")
-            with self._lock:
-                self.failed += 1
-            _LOG.warning(
-                "job failed: %s: %s",
-                type(exc).__name__,
-                exc,
+                error,
                 extra=log_context(job=job.id, worker=worker_id),
             )
         finally:
@@ -414,11 +391,10 @@ class WorkerPool:
             for worker_id, job_id in claims:
                 try:
                     self.queue.heartbeat(job_id, worker_id)
-                except JobCancelled:
-                    with self._lock:
-                        self._lost[worker_id] = True
                 except ReproError:
-                    pass  # transient store contention; next pulse retries
+                    # A lost claim (JobCancelled) stops at its next chunk
+                    # boundary; store contention retries on the next pulse.
+                    pass
             if self._stop.wait(interval):
                 # Stopping: keep pulsing only while claims are in flight.
                 if not any(self._busy.get(w) for w in self._ids):

@@ -144,7 +144,7 @@ class Campaign:
         # only serialised when this call writes the journal.
         rows = ((key, canonical_json(s.to_dict())) for key, s in zip(keys, resolved))
         if not store.put_campaign(name, source, rows):
-            journaled = [key for key, _ in store.campaign_rows(name)]
+            journaled = store.campaign_keys(name)
             if exist_ok and journaled == keys:
                 return cls(store, name)
             raise ConfigError(
@@ -184,7 +184,7 @@ class Campaign:
 
     def status(self) -> CampaignStatus:
         """Progress derived from the durable results table."""
-        keys = [key for key, _ in self.store.campaign_rows(self.name)]
+        keys = self.store.campaign_keys(self.name)
         present = self.store.have_keys(keys)
         done = sum(1 for key in keys if key in present)
         return CampaignStatus(

@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import sys
 import threading
 import time
 import zlib
@@ -831,17 +832,30 @@ class ResultStore:
             return None
         return StoredCampaign(row[0], row[1], int(row[2]), row[3], float(row[4]))
 
-    def campaign_rows(self, name: str) -> List[Tuple[str, str]]:
+    def campaign_rows(
+        self, name: str, start: int = 0, stop: Optional[int] = None
+    ) -> List[Tuple[str, str]]:
         """Campaign ``name``'s ``(key, scenario document)`` rows, in order.
 
-        Empty for an unknown campaign.  The documents are the exact
-        journaled bytes.
+        Only journal positions ``[start, stop)``, a primary-key range,
+        are read.  Empty for an unknown campaign.  The documents are the
+        exact journaled bytes.
         """
         return [
             (row[0], row[1])
             for row in self._conn().execute(
                 "SELECT key, scenario FROM campaign_scenarios "
-                "WHERE campaign=? ORDER BY idx",
+                "WHERE campaign=? AND idx>=? AND idx<? ORDER BY idx",
+                (name, start, sys.maxsize if stop is None else stop),
+            )
+        ]
+
+    def campaign_keys(self, name: str) -> List[str]:
+        """Campaign ``name``'s journaled keys, in order, without documents."""
+        return [
+            row[0]
+            for row in self._conn().execute(
+                "SELECT key FROM campaign_scenarios WHERE campaign=? ORDER BY idx",
                 (name,),
             )
         ]
@@ -1230,7 +1244,7 @@ class ResultStore:
                 study = self.get_study(name)
                 keys = study.keys if study is not None else []
             else:
-                keys = [key for key, _ in self.campaign_rows(name)]
+                keys = self.campaign_keys(name)
             for key in keys:
                 protected.setdefault(key, []).append(job_id)
         return protected

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreError
 from repro.obs.metrics import metrics as _obs_metrics
@@ -119,30 +119,47 @@ def import_raw_rows(
     result pages land, so rows are queryable long before the campaign
     finishes.  Returns ``(imported, identical)``.
     """
-    imported, identical, _ = _merge_rows(dest, rows, source, dry_run=False)
+    imported, identical, _ = _merge_rows((dest,), rows, source, dry_run=False)
     return imported, identical
 
 
+def _first_held(
+    chain: Sequence[ResultStore], read: Callable[[ResultStore], object]
+) -> Tuple[Optional[ResultStore], object]:
+    """``(store, read(store))`` of the first store in ``chain`` holding it."""
+    for store in chain:
+        held = read(store)
+        if held is not None:
+            return store, held
+    return None, None
+
+
 def _merge_rows(
-    dest: ResultStore, rows: Iterable[Tuple], source: str, dry_run: bool
+    chain: Sequence[ResultStore],
+    rows: Iterable[Tuple],
+    source: str,
+    dry_run: bool,
 ) -> Tuple[int, int, Tuple[str, ...]]:
     """The row walk of every merge: ``(imported, identical, conflicts)``.
 
-    Only the per-row step branches.  A real merge writes each row with
+    ``chain`` is the destination, in a dry run followed by the sources
+    merged before this one.  Only the per-row step branches.  A real
+    merge writes each row into ``chain[0]`` with
     :meth:`~repro.store.db.ResultStore.put_raw`, which raises at the
-    first divergence; a dry run reads the held row and collects the
-    keys :func:`~repro.store.db.diverging_columns` refuses instead.
-    Both refuse a row they cannot read (:class:`StoreError`).
+    first divergence; a dry run reads the chain's first held row and
+    collects the keys :func:`~repro.store.db.diverging_columns`
+    refuses instead.  Both refuse a row they cannot read
+    (:class:`StoreError`).
     """
     imported = identical = 0
     conflicts: List[str] = []
     for row in rows:
         if not dry_run:
-            fresh = dest.put_raw(tuple(row), source=source)
+            fresh = chain[0].put_raw(tuple(row), source=source)
         else:
-            held = dest.get_raw(row[0])
+            holder, held = _first_held(chain, lambda s: s.get_raw(row[0]))
             fresh = held is None
-            if not fresh and _compare_rows(held, row, _store_label(dest), source):
+            if not fresh and _compare_rows(held, row, _store_label(holder), source):
                 conflicts.append(str(row[0]))
                 continue
         if fresh:
@@ -162,6 +179,7 @@ def merge_stores(
     source: ResultStore,
     journals: bool = True,
     dry_run: bool = False,
+    earlier: Sequence[ResultStore] = (),
 ) -> MergeReport:
     """Import every row of ``source`` into ``dest``; return the tally.
 
@@ -175,7 +193,10 @@ def merge_stores(
     ``dry_run=True`` writes nothing: the report counts what a real
     merge would import, and -- instead of raising at the first
     divergence -- collects *every* conflicting key and journal name, so
-    an operator can audit a merge before committing to it.
+    an operator can audit a merge before committing to it.  A dry run
+    also finds rows and journals in ``earlier``: the sources one
+    command merges before this one, which a real merge finds in
+    ``dest``.
 
     Idempotent and kill-safe: every imported row is durable the moment
     its transaction commits, and re-running the merge just counts the
@@ -191,16 +212,17 @@ def merge_stores(
         if dry_run
         else span("store.merge", source=source_label, dest=dest_label)
     )
+    chain = (dest, *earlier) if dry_run else (dest,)
     with merge_span as sp:
         imported, identical, conflicts = _merge_rows(
-            dest, source.iter_raw(), source_label, dry_run
+            chain, source.iter_raw(), source_label, dry_run
         )
         if journals:
             campaigns, shared_campaigns, bad = _merge_campaigns(
-                dest, source, dry_run
+                chain, source, dry_run
             )
             journal_conflicts.extend(f"campaign {name!r}" for name in bad)
-            studies, shared_studies, bad = _merge_studies(dest, source, dry_run)
+            studies, shared_studies, bad = _merge_studies(chain, source, dry_run)
             journal_conflicts.extend(f"study {name!r}" for name in bad)
         if sp is not None:
             sp.annotate(imported=imported, identical=identical)
@@ -233,25 +255,29 @@ def _store_label(store: ResultStore) -> str:
 
 
 def _merge_campaigns(
-    dest: ResultStore, source: ResultStore, dry_run: bool = False
+    chain: Sequence[ResultStore], source: ResultStore, dry_run: bool = False
 ) -> Tuple[int, int, Tuple[str, ...]]:
-    """Copy campaign journals ``source`` has and ``dest`` lacks.
+    """Copy campaign journals ``source`` has and ``chain[0]`` lacks.
 
     Returns ``(imported, shared, conflicting names)``.  A name both
     stores journal must hold the same ordered scenario rows; a real
     merge raises :class:`StoreError` at the first that does not, a dry
-    run collects them (and writes nothing).  Copies keep the source's
+    run collects them (and writes nothing), looking names up along
+    ``chain`` like :func:`_merge_rows`.  Copies keep the source's
     ``source`` label and creation stamps, so merged journals are
     byte-identical.
     """
+    dest = chain[0]
     imported = shared = 0
     conflicting = []
     for name in source.campaign_names():
         rows = source.campaign_rows(name)
         if dry_run:
-            fresh = dest.get_campaign(name) is None
+            holder, _ = _first_held(chain, lambda s: s.get_campaign(name))
+            fresh = holder is None
         else:
             journal = source.get_campaign(name)
+            holder = dest
             fresh = dest.put_campaign(
                 name,
                 journal.source,
@@ -261,7 +287,7 @@ def _merge_campaigns(
             )
         if fresh:
             imported += 1
-        elif dest.campaign_rows(name) == rows:
+        elif holder.campaign_rows(name) == rows:
             shared += 1
         elif dry_run:
             conflicting.append(name)
@@ -276,18 +302,20 @@ def _merge_campaigns(
 
 
 def _merge_studies(
-    dest: ResultStore, source: ResultStore, dry_run: bool = False
+    chain: Sequence[ResultStore], source: ResultStore, dry_run: bool = False
 ) -> Tuple[int, int, Tuple[str, ...]]:
-    """Copy study journals ``source`` has and ``dest`` lacks.
+    """Copy study journals ``source`` has and ``chain[0]`` lacks.
 
     Same contract as :func:`_merge_campaigns`; a shared name must
     journal the same ``spec_key`` and simulation keys.
     """
+    dest = chain[0]
     imported = shared = 0
     conflicting = []
     for study in source.studies():
         if dry_run:
-            fresh = dest.get_study(study.name) is None
+            _, held = _first_held(chain, lambda s: s.get_study(study.name))
+            fresh = held is None
         else:
             fresh = dest.put_study(
                 study.name,
@@ -299,11 +327,10 @@ def _merge_studies(
                 created_at=study.created_at,
                 created_unix=study.created_unix,
             )
+            held = None if fresh else dest.get_study(study.name)
         if fresh:
             imported += 1
-            continue
-        held = dest.get_study(study.name)
-        if (held.spec_key, held.keys) == (study.spec_key, study.keys):
+        elif (held.spec_key, held.keys) == (study.spec_key, study.keys):
             shared += 1
         elif dry_run:
             conflicting.append(study.name)

@@ -49,7 +49,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.documents import check_document
 from repro.errors import ConfigError, DesignError, ModelError
-from repro.rng import SeedLike, derive_seed, ensure_rng
+from repro.registry import Registry
+from repro.rng import SeedLike, derive_seed, ensure_rng, seed_base
 from repro.scenario import PartsSpec, Scenario
 from repro.system.config import ORIGINAL_DESIGN, SystemConfig
 from repro.system.vibration import VibrationProfile, VibrationSegment
@@ -352,11 +353,7 @@ class StochasticFamily(ScenarioFamily):
     def expand(self, n: int = 1, seed: SeedLike = 0) -> List[Scenario]:
         if n < 1:
             raise ConfigError("need at least one replicate per grid point")
-        base = 0 if seed is None else seed
-        if not isinstance(base, int):
-            # A live generator seeds the whole expansion once, keeping
-            # the per-replicate derivation below deterministic.
-            base = int(ensure_rng(base).integers(0, 2**31 - 1))
+        base = seed_base(seed)
         scenarios: List[Scenario] = []
         options = dict(self.options)
         for g, overrides in enumerate(self.grid_points()):
@@ -407,9 +404,7 @@ class FixedFamily(ScenarioFamily):
     def expand(self, n: int = 1, seed: SeedLike = 0) -> List[Scenario]:
         if n < 1:
             raise ConfigError("need at least one replicate per grid point")
-        base = 0 if seed is None else int(seed) if isinstance(seed, int) else int(
-            ensure_rng(seed).integers(0, 2**31 - 1)
-        )
+        base = seed_base(seed)
         out: List[Scenario] = []
         for g, scenario in enumerate(self.scenarios):
             for r in range(n):
@@ -588,25 +583,23 @@ def _worst_case_drift() -> StochasticFamily:
 
 
 #: Factories for the named stochastic families (fresh value per call).
-FAMILY_LIBRARY: Dict[str, Callable[[], StochasticFamily]] = {
+FAMILY_LIBRARY: Registry[Callable[[], StochasticFamily]] = Registry(
+    "scenario family"
+)
+FAMILY_LIBRARY.update({
     "factory-floor": _factory_floor,
     "vehicle": _vehicle,
     "hvac": _hvac,
     "intermittent": _intermittent,
     "worst-case-drift": _worst_case_drift,
-}
+})
 
 
 def family_names() -> List[str]:
     """Names accepted by :func:`named_family`."""
-    return sorted(FAMILY_LIBRARY)
+    return FAMILY_LIBRARY.names()
 
 
 def named_family(name: str) -> StochasticFamily:
     """Instantiate a library scenario family by name."""
-    try:
-        factory = FAMILY_LIBRARY[name]
-    except KeyError:
-        known = ", ".join(family_names())
-        raise ConfigError(f"unknown scenario family {name!r} (known: {known})") from None
-    return factory()
+    return FAMILY_LIBRARY.lookup(name)()

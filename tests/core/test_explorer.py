@@ -52,6 +52,52 @@ class TestObjective:
         vals = obj.evaluate_design(pts)
         assert vals.shape == (2,)
 
+    def test_custom_parts_backend_runs_through_the_store(self, tmp_path):
+        """Custom hardware is a registered backend: its evaluations take
+        the scenario path, so a store shares them with a second run."""
+        from repro.backends import _REGISTRY, register_backend
+        from repro.store import ResultStore
+        from repro.system.components import paper_system
+        from repro.system.envelope import EnvelopeSimulator
+
+        built = []
+
+        class CustomParts:
+            name = "custom-parts-objective"
+
+            def simulate(self, scenario):
+                parts = paper_system(v_init=2.85)  # a pre-charged store
+                built.append(parts)
+                sim = EnvelopeSimulator(
+                    scenario.config,
+                    parts=parts,
+                    profile=scenario.profile,
+                    seed=scenario.seed,
+                    record_traces=False,
+                )
+                return sim.run(scenario.horizon)
+
+        register_backend(CustomParts.name, CustomParts, overwrite=True)
+        try:
+            points = np.array([[0, 0, 0], [0, 0, -1.0], [0, 0, 0]])
+            store = ResultStore(tmp_path / "custom.db")
+            first = SimulationObjective(
+                seed=2, horizon=600.0, backend=CustomParts.name, store=store
+            )
+            values = first.evaluate_design(points)
+            assert len(built) == 2 == first.n_simulations
+            assert len(store) == 2
+            default = SimulationObjective(seed=2, horizon=600.0)
+            assert values[0] != default.evaluate_design(points[:1])[0]
+
+            second = SimulationObjective(
+                seed=2, horizon=600.0, backend=CustomParts.name, store=store
+            )
+            assert np.array_equal(second.evaluate_design(points), values)
+            assert len(built) == 2  # every evaluation came from the store
+        finally:
+            _REGISTRY.pop(CustomParts.name, None)
+
 
 class TestExplorerStages:
     def test_design_stage(self):

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.backends import register_backend
+from repro.core.objective import get_metric
+from repro.core.study import named_study
 from repro.doe.registry import design_names, get_design, register_design
 from repro.errors import ConfigError
 from repro.optimize.problem import Problem
@@ -19,6 +21,8 @@ from repro.optimize.registry import (
     register_optimizer,
 )
 from repro.rsm.registry import get_surrogate, register_surrogate, surrogate_names
+from repro.scenario import named_scenario
+from repro.system.stochastic import named_family
 from repro.system.config import paper_parameter_space
 
 SPACE = paper_parameter_space()
@@ -77,6 +81,33 @@ def test_optimizers_are_seed_deterministic(name):
         (get_design, "d-optimal"),
         (get_surrogate, "quadratic"),
         (get_optimizer, "simulated-annealing"),
+        # The named libraries are registries too, with the same texts.
+        pytest.param(
+            named_family,
+            "^unknown scenario family 'definitely-not-registered' "
+            "\\(known: factory-floor, hvac, intermittent, vehicle, "
+            "worst-case-drift\\)$",
+            id="named_family",
+        ),
+        pytest.param(
+            named_study,
+            "^unknown study 'definitely-not-registered' \\(known: paper\\)$",
+            id="named_study",
+        ),
+        pytest.param(
+            get_metric,
+            "^unknown metric 'definitely-not-registered' \\(known: "
+            "final-voltage, transmissions, transmissions-per-hour\\)$",
+            id="get_metric",
+        ),
+        pytest.param(
+            named_scenario,
+            "^unknown scenario 'definitely-not-registered' \\(known: bursty, "
+            "cold-start, long-horizon, low-vibration, paper; stochastic "
+            "families: factory-floor, hvac, intermittent, vehicle, "
+            "worst-case-drift\\)$",
+            id="named_scenario",
+        ),
     ],
 )
 def test_unknown_name_lists_alternatives(getter, known):

@@ -200,6 +200,22 @@ def test_malformed_submissions_are_400s_with_library_messages(served):
         body={"payload": _manifest(), "kind": "sorcery"},
     )
     assert status == 400 and "sorcery" in _json(raw)["error"]
+    # Kind and payload checks are validate_job's own, texts included.
+    status, _, raw = _call(
+        base, "POST", "/v1/jobs", body={"kind": "bogus", "payload": _manifest()}
+    )
+    assert status == 400
+    assert _json(raw)["error"] == (
+        "unknown job kind 'bogus' (known: scenario, campaign, study)"
+    )
+    status, _, raw = _call(base, "POST", "/v1/jobs", body={"payload": [1]})
+    assert status == 400
+    assert "job payload must be a JSON object" in _json(raw)["error"]
+    # The partition sugar leaves a non-object payload to validate_job.
+    body = {"kind": "campaign", "payload": [1], "partitions": 2, "partition": 1}
+    status, _, raw = _call(base, "POST", "/v1/jobs", body=body)
+    assert status == 400
+    assert "job payload must be a JSON object" in _json(raw)["error"]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ stale heartbeat hands the job (not its finished work) to the next
 worker.
 """
 
+import json
 import threading
 from dataclasses import replace
 
@@ -118,6 +119,33 @@ def test_failed_submission_writes_no_row(queue):
 def test_validate_job_rejects_non_dict_payload():
     with pytest.raises(DesignError):
         validate_job(None, ["not", "a", "dict"])
+
+
+def _payload_of(kind):
+    from repro.core.study import paper_study_spec
+
+    if kind == "scenario":
+        return _scenario_payload()
+    if kind == "study":
+        return replace(paper_study_spec(), name="svc-study", horizon=60.0).to_dict()
+    manifest = _manifest(n=3)
+    if kind == "partition":
+        manifest["partition"] = {"index": 2, "of": 2}
+    return manifest
+
+
+@pytest.mark.parametrize("kind", ["scenario", "campaign", "partition", "study"])
+def test_validated_name_and_total_are_what_execution_journals(store, queue, kind):
+    payload = _payload_of(kind)
+    _, name, total = validate_job(None, payload)
+    job = queue.submit(payload)
+    assert (job.name, job.total) == (name, total)
+    execute_job(store, queue.claim("w"))
+    if kind == "study":
+        journal = store.get_study(name)
+    else:
+        journal = store.get_campaign(name)
+    assert journal is not None and journal.total == total
 
 
 # -- claiming ------------------------------------------------------------------
@@ -298,3 +326,49 @@ def test_progress_and_result_entries_track_the_store(store, queue):
     assert page[0]["name"] == names[1]
     with pytest.raises(ConfigError):
         queue.result_entries(job, offset=-1)
+
+
+def test_result_page_reads_only_its_journal_window(store, queue, monkeypatch):
+    from repro.core.batch import BatchRunner
+    from repro.system.stochastic import FixedFamily, manifest_scenarios
+
+    family = FixedFamily(
+        name="window",
+        scenarios=tuple(
+            Scenario(horizon=5.0, seed=i, name=f"w{i}") for i in range(1100)
+        ),
+    )
+    manifest = family.manifest()
+    job = queue.submit(manifest)
+    scenarios = manifest_scenarios(manifest)
+    Campaign.create(store, job.name, scenarios)  # journaled, unsimulated
+    BatchRunner(store=store).run([scenarios[1000], scenarios[1099]])
+
+    rows = store.campaign_rows
+    reads = []
+
+    def spied_rows(name, start=0, stop=None):
+        got = rows(name, start, stop)
+        reads.append((start, stop, len(got)))
+        return got
+
+    def no_full_read(name):
+        raise AssertionError("a results page read every journal key")
+
+    monkeypatch.setattr(store, "campaign_rows", spied_rows)
+    monkeypatch.setattr(store, "campaign_keys", no_full_read)
+    total, page = queue.result_entries(job, offset=1000, limit=100)
+    assert reads == [(1000, 1100, 100)]
+
+    reference = []
+    for index, (key, doc) in enumerate(rows(job.name)):
+        text = store.get_payload_text(key)
+        reference.append({
+            "index": index,
+            "name": json.loads(doc)["name"],
+            "key": key,
+            "result": None if text is None else json.loads(text),
+        })
+    assert total == 1100
+    assert page == reference[1000:1100]
+    assert page[0]["result"] is not None and page[1]["result"] is None

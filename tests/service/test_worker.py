@@ -52,6 +52,25 @@ class CountingServiceBackend:
 register_backend("counting-service", CountingServiceBackend, overwrite=True)
 
 
+class CancellingBackend:
+    """Envelope backend that cancels ``job_id`` on its first call."""
+
+    name = "cancelling-service"
+
+    queue = None
+    job_id = None
+    calls = 0
+
+    def simulate(self, scenario):
+        if CancellingBackend.calls == 0:
+            CancellingBackend.queue.cancel(CancellingBackend.job_id)
+        CancellingBackend.calls += 1
+        return EnvelopeBackend().simulate(replace(scenario, backend="envelope"))
+
+
+register_backend("cancelling-service", CancellingBackend, overwrite=True)
+
+
 @pytest.fixture(autouse=True)
 def _reset_counting_backend():
     CountingServiceBackend.simulated = []
@@ -430,3 +449,16 @@ def test_killed_worker_job_resumes_with_zero_resimulation(store, queue):
     assert len(CountingServiceBackend.simulated) == 8 - len(stored_before)
     assert len(store) == 8
     assert Campaign(store, job.name).status().complete
+
+
+def test_job_cancelled_mid_run_stops_at_the_next_chunk(store, queue):
+    job = queue.submit(_manifest(n=4, backend="cancelling-service"))
+    CancellingBackend.queue, CancellingBackend.job_id = queue, job.id
+    CancellingBackend.calls = 0
+    pool = WorkerPool(store, workers=1, poll_interval=0.05, chunk_size=2)
+    assert pool.run_once() == 0
+    # The first chunk ran and stayed stored; the second never started.
+    assert CancellingBackend.calls == 2
+    assert queue.progress(queue.get(job.id)) == (2, 4)
+    assert queue.get(job.id).status == "cancelled"
+    assert (pool.processed, pool.failed) == (0, 0)

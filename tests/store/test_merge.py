@@ -22,6 +22,7 @@ from dataclasses import replace
 import pytest
 
 from repro.backends import EnvelopeBackend, register_backend, run
+from repro.cli import main
 from repro.errors import SimulationError, StoreError
 from repro.scenario import PartsSpec, Scenario
 from repro.store import (
@@ -219,6 +220,63 @@ def test_merged_journals_keep_every_column(tmp_path, shape):
         rows = source._conn().execute(sql).fetchall()
         assert rows
         assert dest._conn().execute(sql).fetchall() == rows, table
+
+
+# -- multi-source dry runs -----------------------------------------------------
+
+
+def _overlapping_sources(tmp_path):
+    """Empty ``dest.db`` plus ``a.db`` and ``b.db`` holding the same two
+    rows and the same campaign journal; returns the three paths."""
+    pairs = _pairs(2)
+    for label in ("a", "b"):
+        store = ResultStore(tmp_path / f"{label}.db")
+        for scenario, result in pairs:
+            store.put(scenario, result)
+        Campaign.create(store, "camp", [s for s, _ in pairs], source=label)
+    ResultStore(tmp_path / "dest.db")
+    return [str(tmp_path / f"{label}.db") for label in ("dest", "a", "b")]
+
+
+def _merge_lines(capsys, paths, *flags):
+    assert main(["store", "merge", *paths, *flags]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_multi_source_dry_run_counts_an_identical_overlap_once(tmp_path, capsys):
+    paths = _overlapping_sources(tmp_path)
+    first, second = _merge_lines(capsys, paths, "--dry-run")
+    assert "2 row(s) to import, 0 already present" in first
+    assert "0 row(s) to import, 2 already present" in second
+    # The dry run predicts the real merge line for line.
+    real = _merge_lines(capsys, paths)
+    assert [
+        line.replace("would merge", "merged").replace(" to import,", " imported,")
+        for line in (first, second)
+    ] == real
+
+
+def test_multi_source_dry_run_counts_a_shared_journal_as_shared(tmp_path, capsys):
+    paths = _overlapping_sources(tmp_path)
+    first, second = _merge_lines(capsys, paths, "--dry-run")
+    assert "campaigns: 1 imported, 0 shared" in first
+    assert "campaigns: 0 imported, 1 shared" in second
+
+
+def test_multi_source_dry_run_lists_a_conflict_between_sources(tmp_path, capsys):
+    paths = _overlapping_sources(tmp_path)
+    b = ResultStore(paths[2])
+    key = sorted(b.keys())[0]
+    with b._transaction() as conn:
+        conn.execute(
+            "UPDATE results SET payload=payload || ' ' WHERE key=?", (key,)
+        )
+    first, second = _merge_lines(capsys, paths, "--dry-run")
+    assert "REFUSES" not in first
+    assert f"REFUSES: 1 diverging row(s) ({key[:12]})" in second
+    assert "1 already present" in second
+    assert main(["store", "merge", *paths]) == 1
+    assert key in capsys.readouterr().err
 
 
 # -- partitioning --------------------------------------------------------------

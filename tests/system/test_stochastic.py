@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.batch import BatchRunner
@@ -243,3 +244,26 @@ class TestBatchDeterminism:
         assert [r.final_voltage for r in results] == [
             r.final_voltage for r in again
         ]
+
+
+def _short_families():
+    from repro.core.montecarlo import EnvironmentFamily
+
+    return [
+        replace(named_family("hvac"), horizon=60.0),
+        FixedFamily(name="fixed", scenarios=(Scenario(horizon=60.0),)),
+        EnvironmentFamily(horizon=60.0),
+    ]
+
+
+@pytest.mark.parametrize(
+    "family", _short_families(), ids=["stochastic", "fixed", "environment"]
+)
+def test_numpy_integer_seed_expands_like_python_int(family):
+    def keys(seed):
+        return [s.cache_key() for s in family.expand(n=2, seed=seed)]
+
+    assert keys(np.int64(5)) == keys(5)
+    # A generator is still collapsed to one draw.
+    draw = int(np.random.default_rng(3).integers(0, 2**31 - 1))
+    assert keys(np.random.default_rng(3)) == keys(draw)

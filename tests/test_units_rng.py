@@ -73,3 +73,14 @@ class TestRng:
             for comp in range(5):
                 s = derive_seed(base, comp)
                 assert 0 <= s < 2**63
+
+    def test_seed_base(self):
+        from repro.rng import seed_base
+
+        assert seed_base(None) == 0
+        assert seed_base(7) == 7 and seed_base(np.int64(7)) == 7
+        assert type(seed_base(np.uint32(7))) is int
+        draw = int(np.random.default_rng(3).integers(0, 2**31 - 1))
+        assert seed_base(np.random.default_rng(3)) == draw
+        with pytest.raises(TypeError):
+            seed_base(5.0)
