@@ -10,16 +10,13 @@ import numpy as np
 
 from repro.core.paper import paper_objective
 from repro.core.report import format_table
-from repro.optimize import (
-    Problem,
-    genetic_algorithm,
-    grid_search,
-    multistart,
-    nelder_mead,
-    pattern_search,
-    random_search,
-    simulated_annealing,
-)
+from repro.optimize.annealing import simulated_annealing
+from repro.optimize.baselines import grid_search, random_search
+from repro.optimize.genetic import genetic_algorithm
+from repro.optimize.multistart import multistart
+from repro.optimize.nelder_mead import nelder_mead
+from repro.optimize.pattern import pattern_search
+from repro.optimize.problem import Problem
 
 
 def test_optimizer_ablation(benchmark, paper_outcome, write_artifact):

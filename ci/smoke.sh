@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # End-to-end smoke checks of the installed package (CLI, result schemas,
 # studies, the vectorized engine, the HTTP service, telemetry, sharded
-# stores and the coordinator).  Needs `repro-wsn` on PATH, `repro`
-# importable by `python`, curl, free local ports 8080, 8081 and
-# 8091-8094, and the checkout's tests/fixtures directory.
+# stores, the coordinator and the examples).  Needs `repro-wsn` on PATH,
+# `repro` importable by `python`, curl, free local ports 8080, 8081 and
+# 8091-8094, and the checkout's tests/fixtures and examples directories.
 # Usage: bash ci/smoke.sh
 set -Eeuo pipefail
 trap 'echo "smoke: failed at line $LINENO: $BASH_COMMAND" >&2' ERR
 WORK=$(mktemp -d)
 FIXTURES=$(cd "$(dirname "$0")/../tests/fixtures" && pwd)
+EXAMPLES=$(cd "$(dirname "$0")/../examples" && pwd)
 
 # On exit, stop every background server or run, also after a failure.
 cleanup() {
@@ -377,6 +378,13 @@ EOF
   repro-wsn store merge empty.db part1.db clash.db --dry-run | tee clash.txt
   if head -n 1 clash.txt | grep -q REFUSES; then exit 1; fi
   tail -n 1 clash.txt | grep -q "REFUSES: 1 diverging row(s)"
+  # A sync's dry run predicts both passes: the reverse one counts what
+  # the forward one copies over as already present.
+  cp single.db sync-a.db
+  cp part1.db sync-b.db
+  repro-wsn store sync sync-a.db sync-b.db --dry-run | tee sync-dry.txt
+  repro-wsn store sync sync-a.db sync-b.db | tee sync.txt
+  diff <(sed -e 's/^would merge /merged /' -e 's/ to import,/ imported,/' sync-dry.txt) sync.txt
   repro-wsn store stats canonical | grep "shards: 4"
   # The canonical pass simulates nothing and matches byte for byte.
   repro-wsn campaign run manifest.json --store canonical --name shard-smoke
@@ -426,8 +434,19 @@ section_coord() {
   stop "$w1"
 }
 
+# Every example runs to a zero exit, each in a directory of its own.
+section_examples() {
+  local example name
+  for example in "$EXAMPLES"/*.py; do
+    name=$(basename "$example" .py)
+    echo "-- $name"
+    mkdir "$name"
+    (cd "$name" && python "$example" > stdout.txt)
+  done
+}
+
 for section in section_cli section_schema section_study section_vectorized \
-  section_service section_obs section_shard section_coord; do
+  section_service section_obs section_shard section_coord section_examples; do
   echo "== $section"
   mkdir "$WORK/$section"
   cd "$WORK/$section"

@@ -14,7 +14,10 @@ import numpy as np
 
 from repro.core.paper import paper_objective
 from repro.core.report import format_table
-from repro.doe import box_behnken, central_composite, d_optimal, full_factorial
+from repro.doe.bbd import box_behnken
+from repro.doe.ccd import central_composite
+from repro.doe.doptimal import d_optimal
+from repro.doe.factorial import full_factorial
 from repro.doe.criteria import d_efficiency, g_efficiency
 from repro.rsm.model import fit_response_surface
 from repro.system.config import paper_parameter_space

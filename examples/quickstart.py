@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 """
 
 import repro
-from repro.core import paper_explorer
+from repro.core.paper import paper_explorer
 from repro.core.report import render_table_vi
 
 

@@ -16,22 +16,3 @@ A small but real circuit simulator:
 - :mod:`repro.analog.cosim` -- lockstep bridge to the event-driven kernel
   with threshold-crossing detection.
 """
-
-from repro.analog.ac import AcResult, ac_analysis
-from repro.analog.cosim import CircuitHook, ThresholdWatcher
-from repro.analog.dc import operating_point
-from repro.analog.mna import MnaSystem
-from repro.analog.netlist import Circuit
-from repro.analog.transient import TransientResult, TransientSolver
-
-__all__ = [
-    "AcResult",
-    "ac_analysis",
-    "Circuit",
-    "CircuitHook",
-    "MnaSystem",
-    "operating_point",
-    "ThresholdWatcher",
-    "TransientResult",
-    "TransientSolver",
-]

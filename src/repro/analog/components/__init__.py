@@ -1,40 +1,1 @@
 """Analogue component library."""
-
-from repro.analog.components.base import Component, Stamps
-from repro.analog.components.controlled import Cccs, Ccvs, Vccs, Vcvs
-from repro.analog.components.diode import Diode
-from repro.analog.components.passives import (
-    Capacitor,
-    Inductor,
-    Resistor,
-    Supercapacitor,
-)
-from repro.analog.components.sources import (
-    CurrentSource,
-    VoltageSource,
-    pulse,
-    sine,
-    step,
-)
-from repro.analog.components.switch import Switch, VariableResistor
-
-__all__ = [
-    "Capacitor",
-    "Cccs",
-    "Ccvs",
-    "Component",
-    "CurrentSource",
-    "Diode",
-    "Inductor",
-    "Resistor",
-    "Stamps",
-    "Supercapacitor",
-    "Switch",
-    "VariableResistor",
-    "Vccs",
-    "Vcvs",
-    "VoltageSource",
-    "pulse",
-    "sine",
-    "step",
-]

@@ -23,7 +23,8 @@ class Circuit:
 
     Examples
     --------
-    >>> from repro.analog.components import Resistor, VoltageSource
+    >>> from repro.analog.components.passives import Resistor
+    >>> from repro.analog.components.sources import VoltageSource
     >>> ckt = Circuit("divider")
     >>> _ = ckt.add(VoltageSource("V1", "in", "0", dc=10.0))
     >>> _ = ckt.add(Resistor("R1", "in", "out", 1e3))

@@ -11,43 +11,5 @@ models run identical firmware:
   Algorithm 1 (with the coarse Algorithm 2 and fine Algorithm 3 loops).
 - :mod:`repro.control.runner` -- the driver that connects a session
   generator to a :class:`~repro.control.runner.ControllerBackend`.
+- :mod:`repro.control.adaptive` -- the adaptive watchdog extension.
 """
-
-from repro.control.commands import (
-    CheckEnergy,
-    GetCurrentPosition,
-    MeasureFrequency,
-    MeasurePhase,
-    MoveActuatorTo,
-    Settle,
-    StepActuator,
-)
-from repro.control.runner import ControllerBackend, run_session
-from repro.control.session import SessionResult, tuning_session
-
-__all__ = [
-    "AdaptiveEnvelopeSimulator",
-    "AdaptiveWatchdog",
-    "CheckEnergy",
-    "ControllerBackend",
-    "GetCurrentPosition",
-    "MeasureFrequency",
-    "MeasurePhase",
-    "MoveActuatorTo",
-    "SessionResult",
-    "Settle",
-    "StepActuator",
-    "run_session",
-    "tuning_session",
-]
-
-
-def __getattr__(name):
-    # The adaptive extension pulls in the envelope simulator, which itself
-    # imports this package's command/runner modules; loading it lazily
-    # (PEP 562) breaks that import cycle.
-    if name in ("AdaptiveEnvelopeSimulator", "AdaptiveWatchdog"):
-        from repro.control import adaptive
-
-        return getattr(adaptive, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

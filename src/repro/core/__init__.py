@@ -12,65 +12,9 @@ Workflow (paper sections II and V):
 - :mod:`repro.core.explorer` -- :class:`~repro.core.explorer.DesignSpaceExplorer`.
 - :mod:`repro.core.study` -- declarative, serialisable, resumable studies
   (:class:`~repro.core.study.StudySpec` / :class:`~repro.core.study.Study`).
-- :mod:`repro.core.batch` -- parallel scenario batches (:class:`BatchRunner`).
+- :mod:`repro.core.batch` -- parallel scenario batches
+  (:class:`~repro.core.batch.BatchRunner`).
 - :mod:`repro.core.report` -- table/figure regeneration helpers.
 - :mod:`repro.core.campaign` -- JSON persistence of exploration outcomes.
 - :mod:`repro.core.paper` -- canonical paper setup in one call.
 """
-
-from repro.core.batch import BatchRunner
-from repro.core.campaign import load_outcome, save_outcome
-from repro.core.explorer import DesignSpaceExplorer, ExplorationOutcome, OptimaEntry
-from repro.core.study import (
-    Study,
-    StudySpec,
-    StudyStatus,
-    named_study,
-    paper_study_spec,
-    study_names,
-    study_status,
-    study_statuses,
-)
-from repro.core.montecarlo import EnvironmentModel, MonteCarloResult, monte_carlo
-from repro.core.multiobjective import MultiObjectiveSimulation, explore_tradeoff
-from repro.core.objective import SimulationObjective
-from repro.core.paper import paper_explorer, paper_objective, run_paper_flow
-from repro.core.report import (
-    design_space_sweep,
-    format_table,
-    table_vi_rows,
-)
-from repro.core.sensitivity import morris_screening, robustness_study
-from repro.system.config import paper_parameter_space
-
-__all__ = [
-    "BatchRunner",
-    "DesignSpaceExplorer",
-    "EnvironmentModel",
-    "ExplorationOutcome",
-    "MonteCarloResult",
-    "MultiObjectiveSimulation",
-    "OptimaEntry",
-    "SimulationObjective",
-    "Study",
-    "StudySpec",
-    "StudyStatus",
-    "design_space_sweep",
-    "explore_tradeoff",
-    "format_table",
-    "load_outcome",
-    "monte_carlo",
-    "morris_screening",
-    "named_study",
-    "paper_explorer",
-    "paper_objective",
-    "paper_parameter_space",
-    "paper_study_spec",
-    "robustness_study",
-    "run_paper_flow",
-    "save_outcome",
-    "study_names",
-    "study_status",
-    "study_statuses",
-    "table_vi_rows",
-]

@@ -11,19 +11,3 @@
 - :mod:`repro.digital.lut` -- the 8-bit frequency-to-position look-up
   table stored in MCU memory (Algorithm 1, step 10).
 """
-
-from repro.digital.lut import FrequencyLut
-from repro.digital.mcu import Microcontroller, Measurement
-from repro.digital.power_model import AccelerometerPower, McuPowerModel
-from repro.digital.timer import TimerCounter
-from repro.digital.watchdog import WatchdogTimer
-
-__all__ = [
-    "AccelerometerPower",
-    "FrequencyLut",
-    "McuPowerModel",
-    "Measurement",
-    "Microcontroller",
-    "TimerCounter",
-    "WatchdogTimer",
-]

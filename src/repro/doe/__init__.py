@@ -13,46 +13,3 @@
 - :mod:`repro.doe.registry` -- named design generators
   (:func:`~repro.doe.registry.register_design`) for declarative studies.
 """
-
-from repro.doe.augment import augment_d_optimal
-from repro.doe.bbd import box_behnken
-from repro.doe.candidates import grid_candidates, random_candidates
-from repro.doe.ccd import central_composite
-from repro.doe.criteria import (
-    a_efficiency,
-    d_efficiency,
-    g_efficiency,
-    i_criterion,
-)
-from repro.doe.design import Design
-from repro.doe.doptimal import d_optimal
-from repro.doe.factorial import fractional_factorial, full_factorial, two_level_factorial
-from repro.doe.lhs import latin_hypercube
-from repro.doe.registry import (
-    build_design,
-    design_names,
-    get_design,
-    register_design,
-)
-
-__all__ = [
-    "Design",
-    "a_efficiency",
-    "augment_d_optimal",
-    "box_behnken",
-    "build_design",
-    "central_composite",
-    "d_efficiency",
-    "d_optimal",
-    "design_names",
-    "fractional_factorial",
-    "full_factorial",
-    "g_efficiency",
-    "get_design",
-    "grid_candidates",
-    "i_criterion",
-    "latin_hypercube",
-    "random_candidates",
-    "register_design",
-    "two_level_factorial",
-]

@@ -13,37 +13,3 @@
 - :mod:`repro.harvester.microgenerator` -- the tunable generator facade and
   its detailed MNA component.
 """
-
-from repro.harvester.actuator import LinearActuator, MoveResult
-from repro.harvester.characterization import (
-    harvest_map,
-    power_frequency_curve,
-    power_voltage_curve,
-    resonance_bandwidth,
-    tuning_curve,
-)
-from repro.harvester.envelope import EnvelopeHarvester
-from repro.harvester.microgenerator import (
-    ElectromagneticGenerator,
-    TunableMicrogenerator,
-)
-from repro.harvester.rectifier import RectifierEnvelope, add_diode_bridge
-from repro.harvester.storage import EnergyStore
-from repro.harvester.tuning_map import TuningMap
-
-__all__ = [
-    "ElectromagneticGenerator",
-    "EnergyStore",
-    "EnvelopeHarvester",
-    "LinearActuator",
-    "MoveResult",
-    "RectifierEnvelope",
-    "TunableMicrogenerator",
-    "TuningMap",
-    "add_diode_bridge",
-    "harvest_map",
-    "power_frequency_curve",
-    "power_voltage_curve",
-    "resonance_bandwidth",
-    "tuning_curve",
-]

@@ -10,15 +10,3 @@
 - :mod:`repro.mech.cantilever` -- beam formulas deriving the SDOF
   parameters from cantilever geometry.
 """
-
-from repro.mech.cantilever import CantileverBeam
-from repro.mech.coupling import ElectromagneticCoupling
-from repro.mech.magnetics import MagneticTuner
-from repro.mech.sdof import SdofResonator
-
-__all__ = [
-    "CantileverBeam",
-    "ElectromagneticCoupling",
-    "MagneticTuner",
-    "SdofResonator",
-]

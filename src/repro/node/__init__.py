@@ -8,17 +8,3 @@
 - :mod:`repro.node.temperature` -- the sensed quantity (ambient
   temperature), for realistic example payloads.
 """
-
-from repro.node.ez430 import SensorNode, TransmissionPhases
-from repro.node.policy import TransmissionPolicy
-from repro.node.radio import Transmission, TransmissionLog
-from repro.node.temperature import TemperatureSource
-
-__all__ = [
-    "SensorNode",
-    "TemperatureSource",
-    "Transmission",
-    "TransmissionLog",
-    "TransmissionPhases",
-    "TransmissionPolicy",
-]

@@ -18,36 +18,3 @@ local/baseline methods a practitioner would sanity-check against:
   (:func:`~repro.optimize.registry.register_optimizer`) for declarative
   studies.
 """
-
-from repro.optimize.annealing import simulated_annealing
-from repro.optimize.baselines import grid_search, random_search
-from repro.optimize.genetic import genetic_algorithm
-from repro.optimize.multistart import multistart
-from repro.optimize.nelder_mead import nelder_mead
-from repro.optimize.pareto import ParetoResult, nsga2, pareto_front
-from repro.optimize.pattern import pattern_search
-from repro.optimize.problem import Problem
-from repro.optimize.registry import (
-    get_optimizer,
-    optimizer_names,
-    register_optimizer,
-)
-from repro.optimize.result import OptimizationResult
-
-__all__ = [
-    "OptimizationResult",
-    "ParetoResult",
-    "Problem",
-    "genetic_algorithm",
-    "get_optimizer",
-    "grid_search",
-    "multistart",
-    "nelder_mead",
-    "nsga2",
-    "optimizer_names",
-    "pareto_front",
-    "pattern_search",
-    "random_search",
-    "register_optimizer",
-    "simulated_annealing",
-]

@@ -14,36 +14,3 @@
   (:func:`~repro.rsm.registry.register_surrogate`) for declarative
   studies.
 """
-
-from repro.rsm.anova import AnovaTable, anova
-from repro.rsm.basis import PolynomialBasis
-from repro.rsm.coding import CodedTransform, Parameter, ParameterSpace
-from repro.rsm.crossval import kfold_rmse, loocv_rmse
-from repro.rsm.diagnostics import FitDiagnostics, diagnostics
-from repro.rsm.model import ResponseSurface, fit_response_surface
-from repro.rsm.registry import (
-    get_surrogate,
-    register_surrogate,
-    surrogate_names,
-)
-from repro.rsm.stepwise import backward_elimination, forward_selection
-
-__all__ = [
-    "AnovaTable",
-    "CodedTransform",
-    "FitDiagnostics",
-    "Parameter",
-    "ParameterSpace",
-    "PolynomialBasis",
-    "ResponseSurface",
-    "anova",
-    "backward_elimination",
-    "diagnostics",
-    "fit_response_surface",
-    "forward_selection",
-    "get_surrogate",
-    "kfold_rmse",
-    "loocv_rmse",
-    "register_surrogate",
-    "surrogate_names",
-]

@@ -644,8 +644,10 @@ class JobQueue:
             total, rows = 0, []
             if journal is not None:
                 total = journal.total
-                rows = self.store.campaign_rows(job.name, offset, offset + limit)
-            page = [(json.loads(doc).get("name") or "", key) for key, doc in rows]
+                rows = self.store.campaign_scenario_names(
+                    job.name, offset, offset + limit
+                )
+            page = [(name, key) for key, name in rows]
         entries = []
         for index, (name, key) in enumerate(page, start=offset):
             entry = {"index": index, "name": name, "key": key}

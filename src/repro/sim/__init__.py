@@ -16,25 +16,3 @@ reproduces that architecture:
   :class:`repro.sim.kernel.AnalogHook` and are stepped between events.
 - :mod:`repro.sim.trace` / :mod:`repro.sim.vcd` -- waveform recording.
 """
-
-from repro.sim.events import Event, EventQueue
-from repro.sim.kernel import AnalogHook, Simulator
-from repro.sim.module import Module
-from repro.sim.process import Delay, Process, WaitEvent, WaitSignal
-from repro.sim.signal import Signal
-from repro.sim.trace import Trace, TraceSet
-
-__all__ = [
-    "AnalogHook",
-    "Delay",
-    "Event",
-    "EventQueue",
-    "Module",
-    "Process",
-    "Signal",
-    "Simulator",
-    "Trace",
-    "TraceSet",
-    "WaitEvent",
-    "WaitSignal",
-]

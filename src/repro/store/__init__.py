@@ -54,7 +54,6 @@ from repro.store.db import (
     StoredResult,
     StoredStudy,
     StoreStats,
-    canonical_json,
     scenario_family,
     shard_index,
 )
@@ -67,7 +66,6 @@ from repro.store.campaign import (
     group_campaign_statuses,
     partition_name,
     partition_scenarios,
-    partition_slices,
     split_partition_name,
 )
 from repro.store.merge import (
@@ -98,14 +96,12 @@ __all__ = [
     "CampaignStatus",
     "campaign_names",
     "campaign_statuses",
-    "canonical_json",
     "group_campaign_statuses",
     "import_raw_rows",
     "merge_stores",
     "open_store",
     "partition_name",
     "partition_scenarios",
-    "partition_slices",
     "scenario_family",
     "shard_index",
     "split_partition_name",

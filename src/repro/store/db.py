@@ -841,14 +841,40 @@ class ResultStore:
         are read.  Empty for an unknown campaign.  The documents are the
         exact journaled bytes.
         """
-        return [
-            (row[0], row[1])
-            for row in self._conn().execute(
-                "SELECT key, scenario FROM campaign_scenarios "
-                "WHERE campaign=? AND idx>=? AND idx<? ORDER BY idx",
-                (name, start, sys.maxsize if stop is None else stop),
-            )
-        ]
+        return self._campaign_window("scenario", name, start, stop)
+
+    def campaign_scenario_names(
+        self, name: str, start: int = 0, stop: Optional[int] = None
+    ) -> List[Tuple[str, str]]:
+        """Campaign ``name``'s ``(key, scenario name)`` rows, in order.
+
+        The window of :meth:`campaign_rows`, but SQLite reads each name
+        out of its document (``json_extract``), so Python parses only a
+        document holding an escaped NUL, where ``json_extract`` ends the
+        string early.  A document without a name reads ``""``.
+        """
+        names = []
+        for key, raw, doc in self._campaign_window(
+            "CAST(json_extract(scenario, '$.name') AS BLOB), "
+            "CASE WHEN instr(scenario, '\\u0000') THEN scenario END",
+            name,
+            start,
+            stop,
+        ):
+            if doc is not None:
+                names.append((key, json.loads(doc).get("name") or ""))
+            else:  # SQLite returns an escaped lone surrogate CESU-8 encoded
+                names.append((key, (raw or b"").decode("utf-8", "surrogatepass")))
+        return names
+
+    def _campaign_window(
+        self, columns: str, name: str, start: int, stop: Optional[int]
+    ) -> List[Tuple]:
+        return self._conn().execute(
+            f"SELECT key, {columns} FROM campaign_scenarios "
+            "WHERE campaign=? AND idx>=? AND idx<? ORDER BY idx",
+            (name, start, sys.maxsize if stop is None else stop),
+        ).fetchall()
 
     def campaign_keys(self, name: str) -> List[str]:
         """Campaign ``name``'s journaled keys, in order, without documents."""

@@ -29,7 +29,7 @@ which heartbeat) is meaningful only inside one deployment.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreError
@@ -244,10 +244,22 @@ def merge_stores(
 def sync_stores(
     a: ResultStore, b: ResultStore, journals: bool = True, dry_run: bool = False
 ) -> Tuple[MergeReport, MergeReport]:
-    """Merge both ways so ``a`` and ``b`` converge on the union."""
-    return merge_stores(a, b, journals=journals, dry_run=dry_run), merge_stores(
-        b, a, journals=journals, dry_run=dry_run
-    )
+    """Merge both ways so ``a`` and ``b`` converge on the union.
+
+    A dry run reads the reverse pass from an unchanged ``a``: what the
+    forward pass would copy into ``a`` came from ``b``, so the reverse
+    report counts it as already present, as a real sync finds it.
+    """
+    forward = merge_stores(a, b, journals=journals, dry_run=dry_run)
+    reverse = merge_stores(b, a, journals=journals, dry_run=dry_run)
+    if dry_run:
+        reverse = replace(
+            reverse,
+            identical=reverse.identical + forward.imported,
+            campaigns_shared=reverse.campaigns_shared + forward.campaigns_imported,
+            studies_shared=reverse.studies_shared + forward.studies_imported,
+        )
+    return forward, reverse
 
 
 def _store_label(store: ResultStore) -> str:

@@ -5,8 +5,7 @@
 - :mod:`repro.system.vibration` -- input vibration profiles (the paper's
   evaluation uses 60 mg with +5 Hz steps every 25 minutes).
 - :mod:`repro.system.stochastic` -- Markov regime-switching vibration
-  generators and the scenario-family machinery (imported lazily; not
-  re-exported here to keep ``repro.system`` import-light).
+  generators and the scenario-family machinery.
 - :mod:`repro.system.components` -- Table I component registry and the
   calibrated default system (microgenerator, storage, node, MCU).
 - :mod:`repro.system.envelope` -- the fast energy-balance simulator used
@@ -15,30 +14,3 @@
   high-fidelity runs.
 - :mod:`repro.system.result` -- run results and the energy audit.
 """
-
-from repro.system.components import (
-    COMPONENT_REGISTRY,
-    SystemParts,
-    paper_system,
-)
-from repro.system.config import (
-    ORIGINAL_DESIGN,
-    SystemConfig,
-    paper_parameter_space,
-)
-from repro.system.envelope import EnvelopeSimulator
-from repro.system.result import EnergyBreakdown, SystemResult
-from repro.system.vibration import VibrationProfile
-
-__all__ = [
-    "COMPONENT_REGISTRY",
-    "EnergyBreakdown",
-    "EnvelopeSimulator",
-    "ORIGINAL_DESIGN",
-    "SystemConfig",
-    "SystemParts",
-    "SystemResult",
-    "VibrationProfile",
-    "paper_parameter_space",
-    "paper_system",
-]

@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from repro.analog.components import VariableResistor
+from repro.analog.components.passives import Resistor, Supercapacitor
+from repro.analog.components.switch import VariableResistor
 from repro.analog.cosim import CircuitHook
 from repro.analog.netlist import Circuit
 from repro.control.commands import (
@@ -80,12 +81,8 @@ class DetailedSimulator:
         add_diode_bridge(self.circuit, "coil_p", "coil_n", "vdc", "0")
         # Bleeders keep the coil nodes well-conditioned while the whole
         # bridge blocks (otherwise they float through gmin alone).
-        from repro.analog.components import Resistor
-
         self.circuit.add(Resistor("RBLEED_P", "coil_p", "0", 10e6))
         self.circuit.add(Resistor("RBLEED_N", "coil_n", "0", 10e6))
-        from repro.analog.components import Supercapacitor
-
         store = self.parts.store
         self._v_init = store.voltage if v_init is None else v_init
         self.supercap = self.circuit.add(

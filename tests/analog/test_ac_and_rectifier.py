@@ -5,14 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.analog import Circuit, TransientSolver, ac_analysis
-from repro.analog.components import (
-    Capacitor,
-    Inductor,
-    Resistor,
-    VoltageSource,
-    sine,
-)
+from repro.analog.ac import ac_analysis
+from repro.analog.components.passives import Capacitor, Inductor, Resistor
+from repro.analog.components.sources import VoltageSource, sine
+from repro.analog.netlist import Circuit
+from repro.analog.transient import TransientSolver
 from repro.harvester.rectifier import add_diode_bridge
 
 

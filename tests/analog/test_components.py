@@ -5,20 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from repro.analog import Circuit, TransientSolver, operating_point
-from repro.analog.components import (
-    Capacitor,
+from repro.analog.components.diode import Diode
+from repro.analog.components.passives import Capacitor, Inductor, Resistor
+from repro.analog.components.sources import (
     CurrentSource,
-    Diode,
-    Inductor,
-    Resistor,
-    Switch,
-    VariableResistor,
     VoltageSource,
     pulse,
     sine,
     step,
 )
+from repro.analog.components.switch import Switch, VariableResistor
+from repro.analog.dc import operating_point
+from repro.analog.netlist import Circuit
+from repro.analog.transient import TransientSolver
 from repro.errors import NetlistError
 from repro.units import thermal_voltage
 

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analog import Circuit, ac_analysis, operating_point
-from repro.analog.components import Resistor, VoltageSource
+from repro.analog.ac import ac_analysis
 from repro.analog.components.controlled import Cccs, Ccvs, Vccs, Vcvs
+from repro.analog.components.passives import Resistor
+from repro.analog.components.sources import VoltageSource
+from repro.analog.dc import operating_point
+from repro.analog.netlist import Circuit
 from repro.errors import NetlistError
 
 

@@ -4,11 +4,13 @@ import math
 
 import pytest
 
-from repro.analog import Circuit, CircuitHook, ThresholdWatcher
-from repro.analog.components import Capacitor, Resistor, VoltageSource, sine
+from repro.analog.components.passives import Capacitor, Resistor
+from repro.analog.components.sources import VoltageSource, sine
+from repro.analog.cosim import CircuitHook, ThresholdWatcher
+from repro.analog.netlist import Circuit
 from repro.errors import SimulationError
-from repro.sim import Simulator, WaitEvent
-from repro.sim.process import Delay
+from repro.sim.kernel import Simulator
+from repro.sim.process import Delay, WaitEvent
 
 
 def _rc_hook(dt=1e-4):

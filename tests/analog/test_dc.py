@@ -4,13 +4,11 @@ import math
 
 import pytest
 
-from repro.analog import Circuit, operating_point
-from repro.analog.components import (
-    CurrentSource,
-    Diode,
-    Resistor,
-    VoltageSource,
-)
+from repro.analog.components.diode import Diode
+from repro.analog.components.passives import Resistor
+from repro.analog.components.sources import CurrentSource, VoltageSource
+from repro.analog.dc import operating_point
+from repro.analog.netlist import Circuit
 from repro.errors import NetlistError
 
 

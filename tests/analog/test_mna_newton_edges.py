@@ -3,21 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.analog import Circuit, operating_point
-from repro.analog.components import (
-    Capacitor,
-    Diode,
-    Resistor,
-    Supercapacitor,
-    VoltageSource,
-)
+from repro.analog.components.diode import Diode
+from repro.analog.components.passives import Capacitor, Resistor, Supercapacitor
+from repro.analog.components.sources import VoltageSource
+from repro.analog.dc import operating_point
 from repro.analog.mna import MnaSystem
+from repro.analog.netlist import Circuit
 from repro.analog.newton import NewtonOptions, solve_newton
 from repro.errors import ConvergenceError, SingularMatrixError
 
 
 def test_initial_vector_includes_component_extras():
-    from repro.analog.components import Inductor
+    from repro.analog.components.passives import Inductor
 
     ckt = Circuit("init")
     ckt.add(VoltageSource("V1", "a", "0", dc=1.0))

@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.analog import Circuit, TransientSolver
-from repro.analog.components import (
+from repro.analog.components.passives import (
     Capacitor,
     Inductor,
     Resistor,
     Supercapacitor,
-    VoltageSource,
-    sine,
-    step,
 )
+from repro.analog.components.sources import VoltageSource, sine, step
+from repro.analog.netlist import Circuit
+from repro.analog.transient import TransientSolver
 from repro.errors import SimulationError
 
 

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.analog import Circuit, TransientSolver, ac_analysis, operating_point
-from repro.analog.components import Resistor
+from repro.analog.ac import ac_analysis
+from repro.analog.components.passives import Resistor
+from repro.analog.dc import operating_point
+from repro.analog.netlist import Circuit
+from repro.analog.transient import TransientSolver
 from repro.harvester.microgenerator import ElectromagneticGenerator
 from repro.mech.coupling import ElectromagneticCoupling
 

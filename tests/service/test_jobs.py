@@ -344,24 +344,24 @@ def test_result_page_reads_only_its_journal_window(store, queue, monkeypatch):
     Campaign.create(store, job.name, scenarios)  # journaled, unsimulated
     BatchRunner(store=store).run([scenarios[1000], scenarios[1099]])
 
-    rows = store.campaign_rows
+    names = store.campaign_scenario_names
     reads = []
 
-    def spied_rows(name, start=0, stop=None):
-        got = rows(name, start, stop)
+    def spied_names(name, start=0, stop=None):
+        got = names(name, start, stop)
         reads.append((start, stop, len(got)))
         return got
 
     def no_full_read(name):
         raise AssertionError("a results page read every journal key")
 
-    monkeypatch.setattr(store, "campaign_rows", spied_rows)
+    monkeypatch.setattr(store, "campaign_scenario_names", spied_names)
     monkeypatch.setattr(store, "campaign_keys", no_full_read)
     total, page = queue.result_entries(job, offset=1000, limit=100)
     assert reads == [(1000, 1100, 100)]
 
     reference = []
-    for index, (key, doc) in enumerate(rows(job.name)):
+    for index, (key, doc) in enumerate(store.campaign_rows(job.name)):
         text = store.get_payload_text(key)
         reference.append({
             "index": index,
@@ -372,3 +372,26 @@ def test_result_page_reads_only_its_journal_window(store, queue, monkeypatch):
     assert total == 1100
     assert page == reference[1000:1100]
     assert page[0]["result"] is not None and page[1]["result"] is None
+
+
+def test_result_page_names_match_the_journaled_documents(store, queue):
+    from repro.system.stochastic import FixedFamily, manifest_scenarios
+
+    # Non-ASCII, empty, a lone surrogate and an escaped NUL: each name
+    # must read back as ``json.loads`` of its journaled document does.
+    labels = ["Zürich Δ-floor ☃ 😀", "", "\ud800 lone", "nul\x00cut", "plain"]
+    family = FixedFamily(
+        name="labels",
+        scenarios=tuple(
+            Scenario(horizon=5.0, seed=i, name=label)
+            for i, label in enumerate(labels)
+        ),
+    )
+    manifest = family.manifest()
+    job = queue.submit(manifest)
+    Campaign.create(store, job.name, manifest_scenarios(manifest))
+    total, page = queue.result_entries(job, offset=0, limit=10)
+    assert total == len(labels)
+    assert [e["name"] for e in page] == labels
+    _, tail = queue.result_entries(job, offset=1, limit=2)
+    assert [e["name"] for e in tail] == labels[1:3]

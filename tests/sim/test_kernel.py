@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Delay, Signal, Simulator, WaitEvent, WaitSignal
+from repro.sim.kernel import Simulator
+from repro.sim.process import Delay, WaitEvent, WaitSignal
+from repro.sim.signal import Signal
 
 
 def test_schedule_runs_callbacks_in_time_order():
@@ -192,7 +194,7 @@ def test_process_bad_yield_raises():
 
 
 def test_analog_hook_advances_with_time():
-    from repro.sim import AnalogHook
+    from repro.sim.kernel import AnalogHook
 
     class Recorder(AnalogHook):
         def __init__(self):
@@ -213,7 +215,7 @@ def test_analog_hook_advances_with_time():
 
 
 def test_analog_hook_early_stop_resyncs_kernel():
-    from repro.sim import AnalogHook
+    from repro.sim.kernel import AnalogHook
 
     class EarlyStop(AnalogHook):
         def __init__(self):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Module, Signal, Simulator
+from repro.sim.kernel import Simulator
+from repro.sim.module import Module
+from repro.sim.signal import Signal
 from repro.sim.vcd import VcdWriter
 
 

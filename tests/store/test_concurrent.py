@@ -11,8 +11,9 @@ import sys
 from pathlib import Path
 
 from repro.core.batch import BatchRunner
+from repro.documents import canonical_json
 from repro.scenario import PartsSpec, Scenario
-from repro.store import ResultStore, canonical_json
+from repro.store import ResultStore
 from repro.system.config import SystemConfig
 
 #: Runs inside each racing process: simulate the same deterministic

@@ -23,6 +23,7 @@ import pytest
 
 from repro.backends import EnvelopeBackend, register_backend, run
 from repro.cli import main
+from repro.core.batch import partition_slices
 from repro.errors import SimulationError, StoreError
 from repro.scenario import PartsSpec, Scenario
 from repro.store import (
@@ -32,7 +33,6 @@ from repro.store import (
     merge_stores,
     partition_name,
     partition_scenarios,
-    partition_slices,
     sync_stores,
 )
 from repro.system.config import SystemConfig

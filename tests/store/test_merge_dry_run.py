@@ -111,6 +111,32 @@ def test_sync_dry_run_reports_both_directions(populated):
     assert len(a.keys()) == 3 and len(b.keys()) == 2  # untouched
 
 
+def _counts(report):
+    return (
+        report.imported,
+        report.identical,
+        report.campaigns_imported,
+        report.campaigns_shared,
+        report.studies_imported,
+        report.studies_shared,
+    )
+
+
+def test_sync_dry_run_counts_match_the_real_sync(populated):
+    a, b = populated
+    scenarios = _scenarios(n=4)
+    Campaign.create(a, "both", scenarios[2:3])
+    Campaign.create(b, "both", scenarios[2:3])
+    for store in (a, b):
+        store.put_study("st", {"n": 1}, "speckey", "ccd", [[0.0]], ["k1"])
+    a.put_study("only-a", {"n": 2}, "speckey-a", "ccd", [[0.0]], ["k2"])
+    b.put_study("only-b", {"n": 3}, "speckey-b", "ccd", [[0.0]], ["k3"])
+    dry = sync_stores(a, b, dry_run=True)
+    real = sync_stores(a, b)
+    assert [_counts(r) for r in dry] == [_counts(r) for r in real]
+    assert _counts(real[1]) == (2, 2, 1, 2, 1, 2)
+
+
 def test_cli_merge_and_sync_dry_run(populated, capsys):
     a, b = populated
     assert main(

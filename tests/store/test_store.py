@@ -12,14 +12,10 @@ import pickle
 import pytest
 
 from repro.core.batch import BatchRunner
+from repro.documents import canonical_json
 from repro.errors import ConfigError, DesignError
 from repro.scenario import PartsSpec, Scenario, named_scenario
-from repro.store import (
-    ResultStore,
-    ShardedResultStore,
-    canonical_json,
-    scenario_family,
-)
+from repro.store import ResultStore, ShardedResultStore, scenario_family
 from repro.system.config import SystemConfig
 from repro.system.result import SystemResult
 
