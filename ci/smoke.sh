@@ -443,6 +443,9 @@ section_examples() {
     mkdir "$name"
     (cd "$name" && python "$example" > stdout.txt)
   done
+  # The detailed co-simulation is seeded: a second run prints the same.
+  (cd detailed_cosim && python "$EXAMPLES/detailed_cosim.py" > again.txt)
+  diff detailed_cosim/stdout.txt detailed_cosim/again.txt
 }
 
 for section in section_cli section_schema section_study section_vectorized \

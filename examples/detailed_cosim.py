@@ -31,6 +31,7 @@ def main() -> None:
         parts=parts,
         profile=VibrationProfile.constant(69.0),  # 5 Hz off: needs retuning
         v_init=2.85,
+        seed=1,  # timer noise: the printed measurement repeats run to run
     )
 
     print("phase 1: 2 s of detuned operation (generator resonates at 64 Hz,")

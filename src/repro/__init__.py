@@ -61,7 +61,7 @@ lazily (``import repro`` stays cheap)::
 import importlib
 from typing import List
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 #: Public name -> defining module.  Resolved on first attribute access so
 #: ``import repro`` pulls in nothing beyond this file.

@@ -1,10 +1,17 @@
 """Driver connecting a tuning session to a simulation backend.
 
-:class:`ControllerBackend` is the interface each simulation world
-implements; :func:`run_session` pumps a session generator against it.
-Backends are responsible for *all* physics: advancing time, drawing
-energy, moving the real actuator and synthesising measurement values
-(including their noise).
+:class:`ControllerBackend` is the interface of a simulation world that
+executes each command in one call; :func:`run_session` pumps a session
+generator against it.  Backends are responsible for *all* physics:
+advancing time, drawing energy, moving the real actuator and
+synthesising measurement values (including their noise).
+
+Only the detailed co-simulation implements it
+(:class:`~repro.system.detailed.DetailedTuningBackend`), because each
+of its commands advances the MNA kernel.  The envelope physics defines
+its commands once, in :meth:`~repro.system.envelope.EnvelopeSimulator._wakeup`,
+a generator that yields the simulated time each command waits on so
+that the scalar integrator and the lockstep engine can both drive it.
 """
 
 from __future__ import annotations

@@ -211,7 +211,8 @@ class Campaign:
         the next starts, so a crash wastes at most one chunk.  Already
         stored scenarios are never re-simulated.  A custom ``runner``
         must carry this campaign's store (that write-through *is* the
-        journal of completed work).
+        journal of completed work) and no backend override (the journal
+        keys name each scenario's own backend).
 
         ``on_chunk`` is the job-context hook: called as
         ``on_chunk(done, total)`` at every durable chunk boundary
@@ -235,6 +236,12 @@ class Campaign:
                 f"campaign runner writes to {runner.store.path}, not this "
                 f"campaign's store {self.store.path}; its results would "
                 f"never count as done here"
+            )
+        elif runner.backend is not None:
+            raise ConfigError(
+                f"campaign runner rewrites every scenario onto backend "
+                f"{runner.backend!r}; its results would land under keys "
+                f"this campaign's journal does not hold"
             )
         rows = self.store.campaign_rows(self.name)
         chunk = chunk_size or max(4 * runner.jobs, 16)

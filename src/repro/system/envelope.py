@@ -21,15 +21,19 @@ treated as a continuous drain at the policy's rate.  The integrator:
   mechanism behind the paper's optimised configurations.
 
 The tuning firmware (Algorithms 1-3) runs unmodified through the
-sans-IO command protocol; every command advances this same integrator,
-so the node keeps transmitting while the actuator settles.
+sans-IO command protocol.  :meth:`EnvelopeSimulator._wakeup` is the one
+definition of what each command costs and does here: it yields every
+span of simulated time a command waits on, and its driver integrates
+that span -- this integrator for a scalar run, the lockstep engine of
+:mod:`repro.system.vectorized` for a batch -- so the node keeps
+transmitting while the actuator settles.
 """
 
 from __future__ import annotations
 
 import bisect
 import time
-from typing import List, Optional
+from typing import Generator, List, Optional
 
 from repro.control.commands import (
     CheckEnergy,
@@ -40,7 +44,6 @@ from repro.control.commands import (
     Settle,
     StepActuator,
 )
-from repro.control.runner import ControllerBackend, run_session
 from repro.control.session import tuning_session
 from repro.digital.watchdog import WatchdogTimer
 from repro.errors import SimulationError
@@ -82,7 +85,7 @@ _POWER_EVALS = _obs_metrics().counter(
 )
 
 
-class EnvelopeSimulator(ControllerBackend):
+class EnvelopeSimulator:
     """Hour-scale simulator of the complete sensor-node system."""
 
     def __init__(
@@ -116,7 +119,6 @@ class EnvelopeSimulator(ControllerBackend):
         self.traces = TraceSet()
         self.tuning_events: List[TuningEvent] = []
         self._change_times = [s.t_start for s in self.profile.segments]
-        self._session_active = False
         self._trace_point()
 
     # ------------------------------------------------------------------ run
@@ -164,17 +166,33 @@ class EnvelopeSimulator(ControllerBackend):
 
     def _run_wakeup(self) -> None:
         """Execute one Algorithm 1 session at the current time."""
-        t0 = self.t
-        e0 = self.breakdown.consumed
         wall0 = time.perf_counter() if _OBS.metrics_on else 0.0
-        self._session_active = True
-        try:
-            result = run_session(tuning_session(self.parts.lut), self)
-        finally:
-            self._session_active = False
+        for wait in self._wakeup():
+            self._integrate_until(self.t + wait)
         if _OBS.metrics_on:
             _TUNING_SESSIONS.inc()
             _SESSION_SECONDS.observe(time.perf_counter() - wall0)
+
+    def _wakeup(self) -> Generator[float, None, None]:
+        """One Algorithm 1 session, yielding each span of time it waits on.
+
+        The driver -- :meth:`_run_wakeup`, or the lockstep engine for a
+        batch lane -- integrates every yielded span, so the clock, the
+        store and the energy accounts are where a scalar run would have
+        them, before resuming the generator.  The session's tuning event
+        is logged when it ends.
+        """
+        t0 = self.t
+        e0 = self.breakdown.consumed
+        session = tuning_session(self.parts.lut)
+        response = None
+        while True:
+            try:
+                command = session.send(response)
+            except StopIteration as stop:
+                result = stop.value
+                break
+            response = yield from self._perform(command)
         self.tuning_events.append(
             TuningEvent(
                 time=t0,
@@ -346,56 +364,53 @@ class EnvelopeSimulator(ControllerBackend):
             self.t, self.profile.frequency(self.t)
         )
 
-    # ----------------------------------------- ControllerBackend interface
+    # ---------------------------------------------------- firmware commands
 
-    def check_energy(self, cmd: CheckEnergy) -> bool:
-        cost = self.mcu.busy(2e-3)
-        self._draw(cost.mcu_energy, "mcu_active")
-        return self.store.voltage >= cmd.threshold
+    def _perform(self, command) -> Generator[float, None, object]:
+        """Execute one firmware command; return the firmware's response.
 
-    def measure_frequency(self, cmd: MeasureFrequency) -> float:
-        f_true = self.profile.frequency(self.t)
-        m = self.mcu.measure_frequency(f_true, self.rng)
-        self._integrate_until(self.t + m.duration)
-        self._draw(m.mcu_energy, "mcu_active")
-        return m.value
-
-    def get_position(self, cmd: GetCurrentPosition) -> int:
-        cost = self.mcu.busy(1e-3)
-        self._draw(cost.mcu_energy, "mcu_active")
-        return int(round(self.micro.position))
-
-    def move_actuator_to(self, cmd: MoveActuatorTo) -> int:
-        move = self.micro.actuator.move_to_position(cmd.position)
-        if move.duration > 0.0:
-            busy = self.mcu.busy(move.duration)
-            self._integrate_until(self.t + move.duration)
-            self._draw(busy.mcu_energy, "mcu_active")
-            self._draw(move.energy, "actuator")
-        return move.steps
-
-    def step_actuator(self, cmd: StepActuator) -> int:
-        move = self.micro.actuator.move_steps(cmd.direction)
-        if move.duration > 0.0:
-            busy = self.mcu.busy(move.duration)
-            self._integrate_until(self.t + move.duration)
-            self._draw(busy.mcu_energy, "mcu_active")
-            self._draw(move.energy, "actuator")
-        return move.steps
-
-    def settle(self, cmd: Settle) -> None:
-        self._integrate_until(self.t + cmd.duration)
-
-    def measure_phase(self, cmd: MeasurePhase) -> float:
-        resonator = self.micro.tuning_map.resonator_at(self.micro.position)
-        true_phase = resonator.phase_difference_seconds(
-            self.profile.frequency(self.t)
-        )
-        m = self.mcu.measure_phase(true_phase, self.rng)
-        self._integrate_until(self.t + m.duration)
-        self._draw(m.mcu_energy, "mcu_active")
-        self._draw(m.peripheral_energy, "accelerometer")
-        return m.value
+        Yields each span of simulated time the command waits on
+        (measurement windows, actuator travel, settling); energy the
+        command costs is drawn once that span has been integrated.
+        The tests run in the order of how often a session issues them.
+        """
+        if isinstance(command, GetCurrentPosition):
+            self._draw(self.mcu.busy(1e-3).mcu_energy, "mcu_active")
+            return int(round(self.micro.position))
+        if isinstance(command, Settle):
+            yield command.duration
+            return None
+        if isinstance(command, CheckEnergy):
+            self._draw(self.mcu.busy(2e-3).mcu_energy, "mcu_active")
+            return self.store.voltage >= command.threshold
+        if isinstance(command, MeasurePhase):
+            resonator = self.micro.tuning_map.resonator_at(self.micro.position)
+            true_phase = resonator.phase_difference_seconds(
+                self.profile.frequency(self.t)
+            )
+            m = self.mcu.measure_phase(true_phase, self.rng)
+            yield m.duration
+            self._draw(m.mcu_energy, "mcu_active")
+            self._draw(m.peripheral_energy, "accelerometer")
+            return m.value
+        if isinstance(command, MeasureFrequency):
+            m = self.mcu.measure_frequency(self.profile.frequency(self.t), self.rng)
+            yield m.duration
+            self._draw(m.mcu_energy, "mcu_active")
+            return m.value
+        if isinstance(command, (StepActuator, MoveActuatorTo)):
+            actuator = self.micro.actuator
+            if isinstance(command, StepActuator):
+                move = actuator.move_steps(command.direction)
+            else:
+                move = actuator.move_to_position(command.position)
+            if move.duration > 0.0:
+                busy = self.mcu.busy(move.duration)
+                yield move.duration
+                self._draw(busy.mcu_energy, "mcu_active")
+                self._draw(move.energy, "actuator")
+            return move.steps
+        raise SimulationError(f"unknown controller command {command!r}")
 
 
 def simulate(

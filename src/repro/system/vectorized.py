@@ -24,16 +24,18 @@ in ``tests/differential/`` machine-checks the agreement with explicit
 tolerance envelopes rather than assuming it).
 
 **Tuning sessions** (Algorithm 1 wake-ups) are interleaved with the
-lockstep integration rather than excursions into the scalar simulator:
-each lane pumps its own sans-IO :func:`~repro.control.session.tuning_session`
-generator, command effects (RNG measurement draws, actuator moves, MCU
-energy draws) run scalar per lane in exactly the scalar backend's
-operation order, but the *time* every command spans -- measurement
-windows, 5 s settling waits, actuator travel -- is integrated as masked
-array steps shared with every other lane.  A wave of watchdog wake-ups
-across a big batch therefore costs one set of array steps, not one
-scalar integration per lane, while each lane's per-scenario RNG stream,
-traces and tuning log stay byte-identical to a scalar run.
+lockstep integration: each lane drives its own simulator's
+:meth:`~repro.system.envelope.EnvelopeSimulator._wakeup` generator, the
+one definition of what every firmware command costs and does.  Command
+effects (RNG measurement draws, actuator moves, MCU energy draws) run
+on the lane's objects in exactly the scalar backend's operation order,
+and the generator yields the *time* every command spans -- measurement
+windows, 5 s settling waits, actuator travel -- which the engine
+integrates as masked array steps shared with every other lane.  A wave
+of watchdog wake-ups across a big batch therefore costs one set of
+array steps, not one scalar integration per lane, while each lane's
+per-scenario RNG stream, traces and tuning log stay byte-identical to
+a scalar run.
 
 **Harvest coefficients** (EMF peak, rectifier ceiling, mechanical power
 limit) are re-derived scalar per lane -- through the same ``math`` calls
@@ -54,17 +56,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.control.commands import (
-    CheckEnergy,
-    GetCurrentPosition,
-    MeasureFrequency,
-    MeasurePhase,
-    MoveActuatorTo,
-    Settle,
-    StepActuator,
-)
-from repro.control.runner import _result_of
-from repro.control.session import tuning_session
 from repro.errors import SimulationError
 from repro.obs.state import STATE as _OBS
 from repro.obs.trace import span
@@ -77,7 +68,7 @@ from repro.system.envelope import (
     _V_EPS,
     EnvelopeSimulator,
 )
-from repro.system.result import SystemResult, TuningEvent
+from repro.system.result import SystemResult
 
 #: Narrowest batch the ``vectorized`` backend integrates in lockstep;
 #: :func:`simulate_scalar` runs narrower ones.  The engine pays a fixed
@@ -101,9 +92,10 @@ class VectorizedEnvelopeEngine:
 
     The engine owns the hot-path state as arrays; the lane simulators
     own everything event-ish (RNG, actuator, tuning sessions, traces,
-    the watchdog schedule).  State is pushed into a lane's objects right
-    before its wake-up session runs (or before finalisation) and pulled
-    back after, so a session sees exactly the world a scalar run would.
+    the watchdog schedule).  Each session event lends the lane's objects
+    the array state a wake-up reads and takes back what its draws change
+    (:meth:`_session_event`); finalisation pushes the whole state, so a
+    session and the result see exactly the world a scalar run would.
     """
 
     def __init__(self, sims: Sequence[EnvelopeSimulator], horizons: Sequence[float]):
@@ -224,49 +216,28 @@ class VectorizedEnvelopeEngine:
         self._vd2_a = np.array([2.0 * v for v in self._vd], dtype=float)
         self._eff_a = np.array(self._eff, dtype=float)
 
-        # Fixed per-lane command costs (pure functions of the MCU clock,
-        # identical floats to what ``mcu.busy`` computes each call).
-        self._act_pw = [s.mcu.power.active_power(s.mcu.clock_hz) for s in sims]
-        self._chk_cost = [p * 2e-3 for p in self._act_pw]
-        self._pos_cost = [p * 1e-3 for p in self._act_pw]
-        self._cap_l = [float(s.store.capacitance) for s in sims]
-
-        # Store shadow of the lane whose session event is being pumped:
-        # energy draws inside one event run on plain floats and are
-        # flushed back to the arrays once per event instead of paying
-        # NumPy scalar reads/writes per draw.  ``_Ei < 0`` marks the
-        # shadow empty (stored energy is never negative).
-        self._Ei = -1.0
-        self._dri = 0.0
-        self._shi = 0.0
-
         # Flow control.
         self.target = np.zeros(n)
         self.final = [False] * n
         self.done = np.zeros(n, dtype=bool)
 
-        # Per-lane tuning-session drivers: the live generator, the
-        # post-integration continuation of the command currently
-        # spanning simulated time, and the wake-up bookkeeping the
-        # TuningEvent needs.  ``_res_cache`` memoises the retuned
-        # resonator (and its derived constants) per (tuning map,
-        # position): the map is immutable during simulation, so lanes
-        # sharing the process-wide physics share every entry.
-        self._gen: List[Optional[object]] = [None] * n
-        self._after: List[Optional[Tuple[str, object]]] = [None] * n
-        self._sess_t0 = [0.0] * n
-        self._sess_e0 = [0.0] * n
+        # Per-lane tuning sessions: the live wake-up generator and its
+        # wall-clock start.  ``_res_cache`` memoises the retuned
+        # resonator constants per (tuning map, position): the map is
+        # immutable during simulation, so lanes sharing the process-wide
+        # physics share every entry.
+        self._gen: List[Optional[Iterator[float]]] = [None] * n
         self._sess_wall = [0.0] * n
         # Wall seconds of each session finished while metrics are on,
         # observed in bulk when the run ends: one histogram update per
         # session would cost a few percent of the batch.
         self._sess_seconds: List[float] = []
-        self._res_cache: Dict[Tuple[int, float], Tuple[object, float, float, float]] = {}
+        self._res_cache: Dict[Tuple[int, float], Tuple[float, float, float]] = {}
         # One-entry per-lane memo in front of the shared cache: fine
         # tuning alternates between a couple of neighbouring positions,
         # so most lookups re-hit the lane's previous position.
         self._res_pos: List[Optional[float]] = [None] * n
-        self._res_hit: List[Optional[Tuple[object, float, float, float]]] = [None] * n
+        self._res_hit: List[Optional[Tuple[float, float, float]]] = [None] * n
 
         for i in range(n):
             self._pull(i)
@@ -309,13 +280,14 @@ class VectorizedEnvelopeEngine:
 
     # -- segment bookkeeping -------------------------------------------------
 
-    def _resonator(self, i: int):
-        """The lane's retuned resonator and derived constants (cached).
+    def _resonator(self, i: int) -> Tuple[float, float, float]:
+        """The lane's retuned resonator constants (cached).
 
-        The tuning map is immutable during simulation and the derived
-        constants are pure functions of (map, position), so the cache
-        returns exactly what ``TuningMap.resonator_at`` would construct
-        -- including for the fractional positions fine tuning reaches.
+        The tuning map is immutable during simulation and the constants
+        are pure functions of (map, position), so the cache returns
+        exactly those of the resonator ``TuningMap.resonator_at`` would
+        construct -- including at the fractional positions fine tuning
+        reaches.
         """
         sim = self.sims[i]
         pos = sim.micro.position
@@ -327,7 +299,6 @@ class VectorizedEnvelopeEngine:
         if hit is None:
             resonator = tuning_map.resonator_at(pos)
             hit = (
-                resonator,
                 resonator.omega_n,
                 resonator.zeta_total,
                 resonator.damping_elec,
@@ -345,7 +316,7 @@ class VectorizedEnvelopeEngine:
         lane's own :class:`~repro.harvester.tuning_map.TuningMap`,
         exactly as the scalar harvester derives them.
         """
-        _, wn, zt, ce = self._resonator(i)
+        wn, zt, ce = self._resonator(i)
         self._wn[i] = wn
         self._zt[i] = zt
         self._ce[i] = ce
@@ -375,7 +346,7 @@ class VectorizedEnvelopeEngine:
         self.freq[i] = f
 
     def _resync(self, i: int) -> None:
-        """Rebuild the lane's profile pointers after a scalar excursion."""
+        """Set the lane's profile pointers and coefficients from its time."""
         starts = self._lane_starts[i]
         t = float(self.t[i])
         k = max(bisect.bisect_right(starts, t) - 1, 0)
@@ -481,208 +452,50 @@ class VectorizedEnvelopeEngine:
             self.target[i] = t_wake
             self.final[i] = False
 
-    # -- interleaved tuning sessions ------------------------------------------
+    def _session_event(self, i: int) -> None:
+        """Resume lane ``i``'s wake-up until it waits on time or ends.
 
-    def _voltage(self, i: int) -> float:
-        """Store terminal voltage, exactly ``EnergyStore.voltage``."""
-        E = self._Ei
-        if E < 0.0:
-            E = self.energy.item(i)
-        if E <= 0.0:
-            return 0.0
-        return math.sqrt(2.0 * E / self._cap_l[i])
-
-    def _consumed(self, i: int) -> float:
-        """``EnergyBreakdown.consumed`` over the mirrored accounts.
-
-        Same terms in the same left-to-right order as the scalar
-        property, reading the mirrored buckets from the arrays and the
-        session-only buckets (MCU active, accelerometer, actuator) from
-        the lane's breakdown object, where they authoritatively live.
-        """
-        bd = self.sims[i].breakdown
-        return (
-            self.b_ntx.item(i)
-            + self.b_nsl.item(i)
-            + self.b_msl.item(i)
-            + bd.mcu_active
-            + bd.accelerometer
-            + bd.actuator
-            - self.b_short.item(i)
-        )
-
-    def _edraw(self, i: int, energy: float, bucket: str) -> None:
-        """Scalar ``_draw`` against the lane's mirrored store state.
-
-        Mirrors ``EnergyStore.draw`` plus the breakdown bookkeeping of
-        ``EnvelopeSimulator._draw`` operation-for-operation; ``bucket``
-        is always one of the session-only accounts, which live on the
-        lane's breakdown object rather than in arrays.  Draws run on
-        the per-event float shadow (loaded lazily here, written back by
-        :meth:`_flush_store` when the event ends).
-        """
-        if energy <= 0.0:
-            return
-        E = self._Ei
-        if E < 0.0:
-            E = self.energy.item(i)
-            self._dri = self.drawn.item(i)
-            self._shi = self.b_short.item(i)
-        supplied = energy if energy <= E else E
-        self._Ei = E - supplied
-        self._dri += supplied
-        bd = self.sims[i].breakdown
-        if bucket == "mcu_active":
-            bd.mcu_active += energy
-        elif bucket == "accelerometer":
-            bd.accelerometer += energy
-        else:
-            bd.actuator += energy
-        if supplied < energy:
-            self._shi += energy - supplied
-
-    def _flush_store(self, i: int) -> None:
-        """Write the event's store shadow back to the lane arrays."""
-        E = self._Ei
-        if E >= 0.0:
-            self.energy[i] = E
-            self.drawn[i] = self._dri
-            self.b_short[i] = self._shi
-            self._Ei = -1.0
-
-    def _session_begin(self, i: int) -> None:
-        """Start one Algorithm 1 wake-up on this lane (scalar `_run_wakeup`)."""
-        sim = self.sims[i]
-        self._sess_t0[i] = self.t.item(i)
-        self._sess_e0[i] = self._consumed(i)
-        self._sess_wall[i] = time.perf_counter() if _OBS.metrics_on else 0.0
-        gen = tuning_session(sim.parts.lut)
-        self._gen[i] = gen
-        sim._session_active = True
-        try:
-            command = next(gen)
-        except StopIteration as stop:  # pragma: no cover - sessions yield
-            self._session_finish(i, stop)
-            return
-        self._dispatch(i, command)
-        self._flush_store(i)
-
-    def _dispatch(self, i: int, command) -> None:
-        """Pump session commands until one spans simulated time.
-
-        Instant commands (energy check, position read) respond in place;
-        a time-spanning command performs its pre-integration effects
-        (RNG measurement draw, actuator motion) exactly as the scalar
-        handler would, then schedules the lane's integration target at
-        the command's end -- the run loop integrates it in lockstep with
-        every other lane and resumes via :meth:`_session_continue`.
+        The lane's own :meth:`EnvelopeSimulator._wakeup` generator runs
+        the firmware; the span it yields becomes the lane's integration
+        target, so the run loop integrates it in lockstep with every
+        other lane and calls back here when it is over.
         """
         sim = self.sims[i]
         gen = self._gen[i]
-        # The isinstance chain is ordered by observed command frequency
-        # (settling waits and fine-tuning steps dominate a session); each
-        # command matches exactly one arm, so the order is free.
-        while True:
-            if isinstance(command, Settle):
-                self._after[i] = ("settle", None)
-                self.target[i] = self.t.item(i) + command.duration
-                return
-            elif isinstance(command, StepActuator):
-                move = sim.micro.actuator.move_steps(command.direction)
-                if move.steps:
-                    self._retune(i)
-                    self._refresh(i)
-                if move.duration > 0.0:
-                    busy_e = self._act_pw[i] * move.duration
-                    self._after[i] = ("move", (busy_e, move))
-                    self.target[i] = self.t.item(i) + move.duration
-                    return
-                response = move.steps
-            elif isinstance(command, MeasurePhase):
-                resonator = self._resonator(i)[0]
-                true_phase = resonator.phase_difference_seconds(
-                    float(self.freq[i])
-                )
-                m = sim.mcu.measure_phase(true_phase, sim.rng)
-                self._after[i] = ("phase", m)
-                self.target[i] = self.t.item(i) + m.duration
-                return
-            elif isinstance(command, CheckEnergy):
-                # Cached ``mcu.busy(2e-3).mcu_energy`` (same product of
-                # the same floats, so bitwise identical).
-                self._edraw(i, self._chk_cost[i], "mcu_active")
-                response = self._voltage(i) >= command.threshold
-            elif isinstance(command, GetCurrentPosition):
-                self._edraw(i, self._pos_cost[i], "mcu_active")
-                response = int(round(sim.micro.position))
-            elif isinstance(command, MeasureFrequency):
-                f_true = float(self.freq[i])
-                m = sim.mcu.measure_frequency(f_true, sim.rng)
-                self._after[i] = ("freq", m)
-                self.target[i] = self.t.item(i) + m.duration
-                return
-            elif isinstance(command, MoveActuatorTo):
-                move = sim.micro.actuator.move_to_position(command.position)
-                if move.steps:
-                    self._retune(i)
-                    self._refresh(i)
-                if move.duration > 0.0:
-                    busy_e = self._act_pw[i] * move.duration
-                    self._after[i] = ("move", (busy_e, move))
-                    self.target[i] = self.t.item(i) + move.duration
-                    return
-                response = move.steps
-            else:
-                raise SimulationError(f"unknown controller command {command!r}")
-            try:
-                command = gen.send(response)
-            except StopIteration as stop:
-                self._session_finish(i, stop)
-                return
-
-    def _session_continue(self, i: int) -> None:
-        """Resume a session whose time-spanning command just integrated."""
-        kind, payload = self._after[i]
-        self._after[i] = None
-        if kind == "freq":
-            self._edraw(i, payload.mcu_energy, "mcu_active")
-            response = payload.value
-        elif kind == "phase":
-            self._edraw(i, payload.mcu_energy, "mcu_active")
-            self._edraw(i, payload.peripheral_energy, "accelerometer")
-            response = payload.value
-        elif kind == "move":
-            busy_e, move = payload
-            self._edraw(i, busy_e, "mcu_active")
-            self._edraw(i, move.energy, "actuator")
-            response = move.steps
-        else:  # settle
-            response = None
-        try:
-            command = self._gen[i].send(response)
-        except StopIteration as stop:
-            self._session_finish(i, stop)
+        if gen is None:
+            gen = self._gen[i] = sim._wakeup()
+            self._sess_wall[i] = time.perf_counter() if _OBS.metrics_on else 0.0
+        # A wake-up reads the clock, the stored energy and the accounts
+        # of ``breakdown.consumed`` that the array integrator writes, and
+        # its draws change only the stored energy, the drawn total and
+        # the shortfall.  Copying just these 7 fields in and 3 back costs
+        # 0.7 us per event, a full ``_push``/``_pull`` pair 2.3 us (2-vCPU
+        # Xeon, Python 3.11), on some 14,000 events per 256-lane batch.
+        t = self.t.item(i)
+        store = sim.store
+        bd = sim.breakdown
+        sim.t = t
+        store._energy = self.energy.item(i)
+        store.total_drawn = self.drawn.item(i)
+        bd.node_tx = self.b_ntx.item(i)
+        bd.node_sleep = self.b_nsl.item(i)
+        bd.mcu_sleep = self.b_msl.item(i)
+        bd.shortfall = self.b_short.item(i)
+        actuator = sim.micro.actuator
+        steps = actuator.steps
+        wait = next(gen, None)
+        self.energy[i] = store._energy
+        self.drawn[i] = store.total_drawn
+        self.b_short[i] = bd.shortfall
+        if actuator.steps != steps:
+            self._retune(i)
+            self._refresh(i)
+        if wait is not None:
+            self.target[i] = t + wait
             return
-        self._dispatch(i, command)
-        self._flush_store(i)
-
-    def _session_finish(self, i: int, stop: StopIteration) -> None:
-        """Close the session: tuning log, telemetry, next watchdog target."""
-        result = _result_of(stop)
-        self._flush_store(i)
-        sim = self.sims[i]
-        sim._session_active = False
         self._gen[i] = None
         if _OBS.metrics_on:
             self._sess_seconds.append(time.perf_counter() - self._sess_wall[i])
-        sim.tuning_events.append(
-            TuningEvent(
-                time=self._sess_t0[i],
-                result=result,
-                duration=self.t.item(i) - self._sess_t0[i],
-                energy=self._consumed(i) - self._sess_e0[i],
-            )
-        )
         self._set_target(i)
 
     # -- the run loop ----------------------------------------------------------
@@ -701,14 +514,14 @@ class VectorizedEnvelopeEngine:
                 if due.any():
                     guard = 0
                     for i in np.nonzero(due)[0].tolist():
-                        if self._gen[i] is not None:
-                            self._session_continue(i)
-                        elif self.final[i]:
+                        # Only ``_set_target`` sets ``final``, and it runs
+                        # between sessions: a final lane has none live.
+                        if self.final[i]:
                             self._push(i)
                             results[i] = self.sims[i]._result()
                             self.done[i] = True
                         else:
-                            self._session_begin(i)
+                            self._session_event(i)
                     if self.done.all():
                         break
                     # Event handlers moved targets; recompute.

@@ -220,6 +220,35 @@ class TestByteIdentity:
         for scenario, env, vec in zip(scenarios, envelope, vectorized):
             assert _payload_json(env) == _payload_json(vec), scenario.name
 
+    def test_a_command_cost_change_reaches_both_integrators(self, monkeypatch):
+        """The firmware's command costs are defined once: tripling the
+        MCU's busy energy changes scalar and lockstep runs alike."""
+        from repro.digital.mcu import Microcontroller
+
+        family = named_family("factory-floor")
+        scenarios = [
+            replace(s, horizon=1800.0)
+            for s in family.expand(n=5, seed=FAMILY_SEED)
+        ][:5]
+        plain = [_payload_json(run(s)) for s in scenarios]
+        busy = Microcontroller.busy
+
+        def tripled(mcu, duration):
+            cost = busy(mcu, duration)
+            return cost._replace(mcu_energy=3.0 * cost.mcu_energy)
+
+        monkeypatch.setattr(Microcontroller, "busy", tripled)
+        envelope = [_payload_json(run(s)) for s in scenarios]
+        vectorized = simulate_batch(
+            [replace(s, backend="vectorized") for s in scenarios]
+        )
+        assert len(vectorized) == 5
+        for scenario, before, env, vec in zip(
+            scenarios, plain, envelope, vectorized
+        ):
+            assert env != before, scenario.name  # the patch took effect
+            assert env == _payload_json(vec), scenario.name
+
     def test_jobs_compose_with_run_batch(self):
         """serial == one batch == N-worker sharded batch, byte for byte,
         on both executors."""

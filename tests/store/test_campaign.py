@@ -169,6 +169,22 @@ def test_custom_runner_must_carry_the_same_store(store, tmp_path):
     assert campaign.status().complete
 
 
+def test_custom_runner_must_not_override_the_backend(store):
+    """An overriding runner would store rows under keys the journal
+    does not hold, so the campaign could never complete."""
+    campaign = Campaign.create(store, "guard3", _plain_scenarios(3))
+    runner = BatchRunner(jobs=1, store=store, backend="vectorized")
+    with pytest.raises(ConfigError, match="vectorized"):
+        campaign.run(runner=runner)
+    assert len(store) == 0
+    assert campaign.status().done == 0
+    results = campaign.run(runner=BatchRunner(jobs=1, store=store))
+    assert [r.to_json() for r in results] == [
+        store.get(s).to_json() for s in campaign.scenarios()
+    ]
+    assert campaign.status().complete
+
+
 def test_killed_campaign_resumes_without_resimulating_stored_work(store):
     """The issue's acceptance scenario: kill at ~50%, resume, count sims."""
     scenarios = _family_scenarios(n=40)
